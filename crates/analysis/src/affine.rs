@@ -474,15 +474,15 @@ pub fn lint_summary(s: &KernelAccessSummary) -> Diagnostics {
     ds
 }
 
-/// Every registered kernel split's affine summary, at the same
-/// representative paper shapes as
-/// [`crate::parallelcheck::registered_splits`] (a test enforces the 1:1
-/// correspondence), plus the standalone `gemm_bias` row split the PR-3
-/// schedule-permutation audit exercises.
+/// Every registered kernel split's affine summary at representative
+/// paper shapes — the one per-kernel registration: the prover here, the
+/// split lints ([`crate::parallelcheck::split_of`]) and the roofline
+/// ([`crate::cost`]) all read it. Includes the standalone `gemm_bias` row
+/// split the schedule-permutation audit exercises.
 pub fn registered_summaries() -> Vec<KernelAccessSummary> {
     use enode_tensor::{conv, dense, matmul, norm};
     // conv2d at the edge image-classifier stage: 4->4 channels, 3x3
-    // kernels, 16x16 maps, batch 10 (mirrors `parallelcheck`).
+    // kernels, 16x16 maps, batch 10.
     let (n, c, m, k, hw) = (10usize, 4usize, 4usize, 3usize, 256usize);
     let (ch, cw) = (16usize, 16usize);
     // Dense at the three-body dynamic-system stage: batch 16, 12->32.
@@ -543,7 +543,7 @@ pub fn brute_force_region(
     grain: usize,
 ) -> BruteForceOutcome {
     let r = s.region(region).expect("undeclared region");
-    let ways = crate::parallelcheck::plan_chunks(pool, s.items, grain);
+    let ways = enode_tensor::parallel::chunks_for(pool, s.items, grain);
     let mut written = vec![0u32; r.elems];
     let mut out = BruteForceOutcome::default();
     for lane in 0..ways {
@@ -601,29 +601,10 @@ mod tests {
     }
 
     #[test]
-    fn registry_matches_parallelcheck_one_to_one() {
-        // Every E04x split has an affine summary with the same
-        // decomposition shape, so neither registry can drift alone.
-        let summaries = registered_summaries();
-        for split in crate::parallelcheck::registered_splits() {
-            let s = summaries
-                .iter()
-                .find(|s| s.kernel == split.kernel)
-                .unwrap_or_else(|| panic!("no affine summary for `{}`", split.kernel));
-            assert_eq!(s.items, split.items, "{}", split.kernel);
-            assert_eq!(s.grain, split.grain, "{}", split.kernel);
-            assert_eq!(s.flops_per_item, split.flops_per_item, "{}", split.kernel);
-        }
-        // Plus the standalone gemm_bias row split from the audit matrix.
-        assert!(summaries
-            .iter()
-            .any(|s| s.kernel == "gemm_bias (row split)"));
-    }
-
-    #[test]
     fn audited_kernels_all_have_summaries() {
-        // The PR-3 schedule-permutation audit exercises these kernels;
-        // each must carry a proven summary (the acceptance criterion).
+        // Every parallelized kernel — the ones the schedule-permutation
+        // audit exercises plus the coarse per-item fan-outs — must carry
+        // a proven summary, which is also its E04x split registration.
         let summaries = registered_summaries();
         for kernel in [
             "conv2d.forward (batch split)",
@@ -639,6 +620,8 @@ mod tests {
             "groupnorm.forward",
             "groupnorm.backward",
             "gemm_bias (row split)",
+            "node.forward_model_batched",
+            "bench.run_benches",
         ] {
             let s = summaries
                 .iter()

@@ -126,7 +126,8 @@ pub fn cost_of(model: &RooflineModel, s: &KernelAccessSummary) -> CostEstimate {
 /// host with `host_cpus` physical cores.
 ///
 /// A summary whose grain is `usize::MAX` records a split the planner's
-/// work-size floor keeps serial ([`crate::parallelcheck`], `W044`): the
+/// work-size floor keeps serial (`W044` on the split
+/// [`crate::parallelcheck::split_of`] derives from the same summary): the
 /// parallel run executes the serial code path with no dispatch, so the
 /// model predicts exactly 1× rather than the sub-1× a forced split would
 /// score.

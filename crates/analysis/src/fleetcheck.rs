@@ -34,11 +34,11 @@
 use crate::benchjson::{CostTableRow, ParsedCostTable};
 use crate::diag::{Code, Diagnostic, Diagnostics};
 use crate::engine::{run_to_fixpoint, DataflowGraph, Direction, Lattice, Pass};
+use crate::schedcheck::class_service_us;
 use enode_hw::mapping::per_core_weight_bytes;
-use enode_hw::table::{points_for, tableau_cost, trials_for};
 use enode_serve::fleet::FleetConfig;
 use enode_serve::registry::version_fingerprint;
-use enode_serve::{fingerprint as ladder_fingerprint, ServeConfig, ToleranceClass};
+use enode_serve::{fingerprint as ladder_fingerprint, ServeConfig};
 
 /// A core must keep `1/HEADROOM_DENOM` of its weight buffer free after
 /// the live set is pinned, or `W110` fires: a publish with less headroom
@@ -208,23 +208,6 @@ fn tier_point(policy: &ServeConfig, tier: usize, table: &ParsedCostTable) -> Opt
             largest.f_evals,
         )),
     }
-}
-
-/// Scales a tier's Standard-class service time to `class` through the
-/// step-count law — the same scaling [`crate::schedcheck`] derives its
-/// WCRT from (private there, so restated against the resolved point).
-fn class_service_us(
-    policy: &ServeConfig,
-    tier: usize,
-    point: (u64, usize),
-    class: ToleranceClass,
-) -> u64 {
-    let t = &policy.tiers[tier];
-    let (stages, order) = tableau_cost(t.tableau);
-    let scale_eff = t.tolerance_scale * (class.tolerance() / ToleranceClass::Standard.tolerance());
-    let points = points_for(order, scale_eff);
-    let f_evals = trials_for(points, t.max_trials) * stages;
-    (point.0 * f_evals as u64).div_ceil(point.1.max(1) as u64)
 }
 
 /// Lints one fleet config against one parsed cost table. Split out from

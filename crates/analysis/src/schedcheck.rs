@@ -74,14 +74,22 @@ struct TierPoint {
     f_evals: usize,
 }
 
-/// Scales a tier's Standard-class service time to `class` via the
-/// step-count law: the simulated latency is linear in f-evals per sample,
-/// and the class multiplies the effective tolerance scale by
-/// `class.tolerance() / 1e-4`.
-fn class_service_us(
+impl TierPoint {
+    /// The `(latency_us, f_evals)` pair [`class_service_us`] scales.
+    fn service(&self) -> (u64, usize) {
+        (self.latency_us, self.f_evals)
+    }
+}
+
+/// Scales a tier's Standard-class service time `(latency_us, f_evals)`
+/// to `class` via the step-count law: the simulated latency is linear in
+/// f-evals per sample, and the class multiplies the effective tolerance
+/// scale by `class.tolerance() / 1e-4`. Shared with
+/// [`crate::fleetcheck`]'s SLA-coverage proof.
+pub(crate) fn class_service_us(
     policy: &ServeConfig,
     tier: usize,
-    point: &TierPoint,
+    (latency_us, point_f_evals): (u64, usize),
     class: ToleranceClass,
 ) -> u64 {
     let t = &policy.tiers[tier];
@@ -91,7 +99,7 @@ fn class_service_us(
     let f_evals = trials_for(points, t.max_trials) * stages;
     // Ceiling division keeps the bound conservative and the arithmetic
     // integral (byte-stable messages).
-    (point.latency_us * f_evals as u64).div_ceil(point.f_evals.max(1) as u64)
+    (latency_us * f_evals as u64).div_ceil(point_f_evals.max(1) as u64)
 }
 
 /// Node roles of the lowered serving pipeline. One chain per
@@ -131,7 +139,7 @@ impl ServeGraph {
         let mut preds = Vec::new();
         let mut cost_us = Vec::new();
         for (c, class) in CLASSES.iter().enumerate() {
-            let tier0_service = class_service_us(policy, 0, &points[0], *class);
+            let tier0_service = class_service_us(policy, 0, points[0].service(), *class);
             for (t, point) in points.iter().enumerate().take(n_tiers) {
                 let base = nodes.len();
                 nodes.push(ServeNode::Admission { class: c, tier: t });
@@ -142,7 +150,7 @@ impl ServeGraph {
                 cost_us.push(policy.batch_window_us);
                 nodes.push(ServeNode::Service { class: c, tier: t });
                 preds.push(vec![base + 1]);
-                cost_us.push(class_service_us(policy, t, point, *class));
+                cost_us.push(class_service_us(policy, t, point.service(), *class));
                 nodes.push(ServeNode::Response { class: c, tier: t });
                 preds.push(vec![base + 2]);
                 cost_us.push(0);
@@ -540,7 +548,8 @@ pub fn lint_config(policy: &ServeConfig, table: &ParsedCostTable) -> Diagnostics
         if t.min_slack_us == 0 {
             continue;
         }
-        let worst_service = class_service_us(policy, tier, &points[tier], ToleranceClass::Strict);
+        let worst_service =
+            class_service_us(policy, tier, points[tier].service(), ToleranceClass::Strict);
         if worst_service > t.min_slack_us {
             ds.push(
                 Diagnostic::new(

@@ -7,6 +7,7 @@
 
 use enode_analysis::consistency::lint_consistency;
 use enode_analysis::diag::{Code, Severity};
+use enode_analysis::parallelcheck::{self, CombineOrder, KernelSplit};
 use enode_analysis::precision::lint_precision;
 use enode_analysis::{affine, cost, lint_everything, schedcheck, servecheck, PipelineArtifact};
 use enode_hw::config::HwConfig;
@@ -321,6 +322,56 @@ fn scratch_carved_from_output_fires_e082() {
     let ds = affine::lint_summary(&s);
     assert!(ds.has_code(Code::E082AffineScratchAlias), "{}", ds.render());
     assert!(!ds.has_code(Code::E080AffineLaneOverlap), "{}", ds.render());
+}
+
+/// The registered access summary of `kernel` — the single per-kernel
+/// registration the E04x split lints derive from.
+fn registered_summary(kernel: &str) -> KernelAccessSummary {
+    affine::registered_summaries()
+        .into_iter()
+        .find(|s| s.kernel == kernel)
+        .unwrap_or_else(|| panic!("no registered summary for `{kernel}`"))
+}
+
+/// Codes the E04x pass raises on `split` at the nominal 4-lane pool.
+fn split_codes(split: &KernelSplit) -> Vec<&'static str> {
+    parallelcheck::lint_kernel_split(split, 4)
+        .items()
+        .iter()
+        .map(|d| d.code.as_str())
+        .collect()
+}
+
+#[test]
+fn short_partials_region_fires_exactly_e040_on_the_derived_split() {
+    // Mutation: the conv backward-params partials buffer loses one
+    // element, so it is no longer a whole number of per-sample strides.
+    let mut s = registered_summary("conv2d.backward_params (batch split)");
+    assert!(split_codes(&parallelcheck::split_of(&s)).is_empty());
+    let partials = s.regions.iter_mut().find(|r| r.name == "partials").unwrap();
+    partials.elems -= 1;
+    assert_eq!(split_codes(&parallelcheck::split_of(&s)), ["E040"]);
+}
+
+#[test]
+fn unordered_conv_param_fold_fires_exactly_e042_on_the_derived_split() {
+    // Mutation: the derived conv backward-params reduction folds its
+    // per-sample partials in lane-completion order.
+    let s = registered_summary("conv2d.backward_params (batch split)");
+    let mut split = parallelcheck::split_of(&s);
+    split.reduction.as_mut().expect("partials fold").order = CombineOrder::Unordered;
+    assert_eq!(split_codes(&split), ["E042"]);
+}
+
+#[test]
+fn serial_grain_above_the_floor_fires_exactly_w040_on_the_derived_split() {
+    // Mutation: the conv forward batch split (10 × 36 864 flops, above
+    // the dispatch floor) is registered with a `usize::MAX` grain, which
+    // plans one chunk on every pool.
+    let mut s = registered_summary("conv2d.forward (batch split)");
+    assert!(s.items * s.flops_per_item >= enode_tensor::parallel::SERIAL_FLOOR_FLOPS);
+    s.grain = usize::MAX;
+    assert_eq!(split_codes(&parallelcheck::split_of(&s)), ["W040"]);
 }
 
 #[test]

@@ -53,21 +53,17 @@ use enode_serve::loadgen::CostModel;
 use enode_serve::{simulate_fleet, FleetConfig, FleetLoad, FleetRunResult, TenantBinding};
 use enode_tensor::parallel;
 
-/// Lane count the cost model charges batches against. Fixed (rather than
-/// host-derived) so the committed JSON is byte-identical across hosts.
-pub const LANES: usize = 4;
+/// Lane count the cost model charges batches against — the
+/// `BENCH_serve.json` lane count.
+pub const LANES: usize = crate::serve_json::LANES;
 
 /// Master seed for arrival jitter and request inputs.
 pub const SEED: u64 = 24301;
 
-/// The fixed service-time model every cell runs under — identical to the
-/// `BENCH_serve.json` model so fleet and single-server numbers compare.
+/// The fixed service-time model every cell runs under — the
+/// `BENCH_serve.json` model, so fleet and single-server numbers compare.
 pub fn cost_model() -> CostModel {
-    CostModel {
-        per_nfe_us: 20.0,
-        dispatch_overhead_us: 150,
-        lanes: LANES,
-    }
+    crate::serve_json::cost_model()
 }
 
 /// The model every instance serves under both published names: the small

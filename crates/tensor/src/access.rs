@@ -180,8 +180,8 @@ impl ScratchDecl {
 /// of its item decomposition plus every per-item region access.
 #[derive(Clone, Debug)]
 pub struct KernelAccessSummary {
-    /// Kernel label, matching the `parallelcheck` registry (e.g.
-    /// `"conv2d.forward (batch split)"`).
+    /// Kernel label, the subject of every diagnostic raised on this
+    /// kernel (e.g. `"conv2d.forward (batch split)"`).
     pub kernel: &'static str,
     /// Number of independent items the kernel splits.
     pub items: usize,

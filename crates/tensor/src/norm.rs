@@ -540,8 +540,15 @@ pub fn forward_access(n: usize, c: usize, groups: usize, hw: usize) -> KernelAcc
         flops_per_item: 4 * c * hw,
         regions: vec![
             RegionDecl::output("y", n * c * hw),
-            RegionDecl::output("mean", n * groups),
-            RegionDecl::output("inv_std", n * groups),
+            // The cached moments are `f64` (see `GroupNormCache`).
+            RegionDecl {
+                elem_bytes: 8,
+                ..RegionDecl::output("mean", n * groups)
+            },
+            RegionDecl {
+                elem_bytes: 8,
+                ..RegionDecl::output("inv_std", n * groups)
+            },
             RegionDecl::input("x", n * c * hw),
             RegionDecl::input("gamma", c),
             RegionDecl::input("beta", c),
@@ -575,8 +582,14 @@ pub fn backward_access(n: usize, c: usize, groups: usize, hw: usize) -> KernelAc
             RegionDecl::partials("partials", n * 2 * c),
             RegionDecl::input("dy", n * c * hw),
             RegionDecl::input("x", n * c * hw),
-            RegionDecl::input("mean", n * groups),
-            RegionDecl::input("inv_std", n * groups),
+            RegionDecl {
+                elem_bytes: 8,
+                ..RegionDecl::input("mean", n * groups)
+            },
+            RegionDecl {
+                elem_bytes: 8,
+                ..RegionDecl::input("inv_std", n * groups)
+            },
             RegionDecl::input("gamma", c),
         ],
         accesses: vec![
@@ -746,6 +759,30 @@ mod tests {
             normalize_row_portable(xs, &mut y_p, 1.25, -0.5, m_p, i_p);
             for k in 0..len {
                 assert_eq!(y_d[k].to_bits(), y_p[k].to_bits(), "y[{k}] len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn access_summaries_match_the_cached_moments() {
+        fn elem_bytes<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        let (n, c, groups, hw) = (2usize, 8usize, 4usize, 16usize);
+        let (_, cache) = GroupNorm::new(c, groups).forward(&Tensor::ones(&[n, c, 4, 4]));
+        for s in [
+            forward_access(n, c, groups, hw),
+            backward_access(n, c, groups, hw),
+        ] {
+            for (name, cached) in [("mean", &cache.mean), ("inv_std", &cache.inv_std)] {
+                let r = s.region(name).expect("moment region declared");
+                assert_eq!(r.elems, cached.len(), "{} `{name}` elems", s.kernel);
+                assert_eq!(
+                    r.elem_bytes,
+                    elem_bytes(cached),
+                    "{} `{name}` elem_bytes",
+                    s.kernel
+                );
             }
         }
     }

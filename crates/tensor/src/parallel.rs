@@ -455,13 +455,20 @@ fn chunk(n: usize, ways: usize, i: usize) -> Range<usize> {
     start..end
 }
 
+/// Number of chunks a pool of `lanes` lanes splits `items` items into at
+/// a minimum of `grain` items per chunk — the planner's pure chunk-count
+/// formula, shared with the static split lints and the affine prover's
+/// brute-force oracle in `enode-analysis`.
+pub fn chunks_for(lanes: usize, items: usize, grain: usize) -> usize {
+    lanes.min(items / grain.max(1)).max(1)
+}
+
 /// Number of chunks to split `n` items into, given a minimum grain per
 /// chunk and the current pool width. A live [`with_grain_override`]
 /// replaces `grain`.
 fn plan_chunks(n: usize, grain: usize) -> usize {
     let grain = GRAIN.with(|g| g.get()).unwrap_or(grain);
-    let lanes = current_threads();
-    lanes.min(n / grain.max(1)).max(1)
+    chunks_for(current_threads(), n, grain)
 }
 
 /// [`parallel_for`] with the executing lane index exposed — the internal
@@ -503,11 +510,14 @@ pub fn parallel_for<F: Fn(Range<usize>) + Sync>(n: usize, grain: usize, f: F) {
     parallel_for_lanes(n, grain, |r, _lane| f(r));
 }
 
+/// Minimum scalar work per chunk: below ~16k operations, dispatch
+/// overhead dominates a chunk's useful work.
+pub const MIN_CHUNK_FLOPS: usize = 16 * 1024;
+
 /// Suggested `grain` for items that each perform roughly `flops_per_item`
 /// scalar operations: enough items per chunk that a chunk carries at least
-/// ~16k operations, below which dispatch overhead dominates.
+/// [`MIN_CHUNK_FLOPS`].
 pub fn grain_for(flops_per_item: usize) -> usize {
-    const MIN_CHUNK_FLOPS: usize = 16 * 1024;
     MIN_CHUNK_FLOPS.div_ceil(flops_per_item.max(1))
 }
 
@@ -525,7 +535,7 @@ pub const SERIAL_FLOOR_FLOPS: usize = 32 * 5 * 2_000;
 
 /// Work-size-aware variant of [`grain_for`]: when the kernel's *total*
 /// work (`items × flops_per_item`) is below [`SERIAL_FLOOR_FLOPS`], the
-/// returned grain is `usize::MAX`, which `plan_chunks` resolves to a
+/// returned grain is `usize::MAX`, which [`chunks_for`] resolves to a
 /// single serial chunk — the automatic serial fallback for tiny kernels.
 /// Above the floor it is exactly `grain_for(flops_per_item)`.
 ///

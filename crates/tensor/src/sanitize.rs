@@ -34,8 +34,9 @@
 //!
 //! The static complement of these runtime checks — stride divisibility,
 //! grain degeneracy, scratch sizing, and reduction-order lints over the
-//! registered kernel splits — lives in `enode_analysis::parallelcheck`
-//! (codes `E040`–`E042`, `W040`–`W043`).
+//! splits derived from each kernel's registered access summary
+//! ([`crate::access`]) — lives in `enode_analysis::parallelcheck` (codes
+//! `E040`–`E042`, `W040`–`W044`).
 
 use std::ops::Range;
 
