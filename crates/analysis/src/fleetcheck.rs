@@ -194,6 +194,20 @@ impl Pass<FleetGraph> for LoadPass {
     }
 }
 
+/// Per-instance offered load in milli-req/s with instance `lost` down
+/// (`None` = nominal): `None` for the lost instance and for an instance
+/// no tenant feeds.
+pub(crate) fn instance_loads(config: &FleetConfig, lost: Option<usize>) -> Vec<Option<u64>> {
+    let graph = FleetGraph::lower(config, lost);
+    let fx = run_to_fixpoint(&graph, &LoadPass);
+    (0..config.assignment.len())
+        .map(|i| {
+            let load = &fx.values[graph.instance(i)];
+            load.reached.then_some(load.rps_milli)
+        })
+        .collect()
+}
+
 /// The `(latency at max_batch, f_evals)` design point of one tier,
 /// resolved exactly or by the same linear extrapolation
 /// [`crate::schedcheck`] applies (provenance advisories are that pass's
@@ -388,19 +402,14 @@ pub fn lint_fleet(config: &FleetConfig, table: &ParsedCostTable) -> Diagnostics 
                 );
             }
         }
-        let graph = FleetGraph::lower(config, lost);
-        let fx = run_to_fixpoint(&graph, &LoadPass);
-        for (i, name) in config.assignment.iter().enumerate() {
-            if lost == Some(i) {
-                continue;
-            }
-            let load = &fx.values[graph.instance(i)];
-            if !load.reached {
-                continue; // no tenant feeds this instance
-            }
+        let loads = instance_loads(config, lost);
+        for (i, (name, load)) in config.assignment.iter().zip(loads).enumerate() {
+            let Some(load_milli) = load else {
+                continue; // lost, or no tenant feeds this instance
+            };
             let policy = &registry.live(name).expect("E114 checked").policy;
             let design_milli = (policy.design_rate_rps * 1_000.0).round() as u64;
-            if load.rps_milli > design_milli {
+            if load_milli > design_milli {
                 ds.push(
                     Diagnostic::new(
                         Code::E111FleetRebalanceInfeasible,
@@ -409,14 +418,14 @@ pub fn lint_fleet(config: &FleetConfig, table: &ParsedCostTable) -> Diagnostics 
                             "{label}: instance {i} ({name}) absorbs {}.{:03} req/s of \
                              rebalanced tenant load, above the policy's design rate \
                              {} req/s — shedding becomes the steady state",
-                            load.rps_milli / 1_000,
-                            load.rps_milli % 1_000,
+                            load_milli / 1_000,
+                            load_milli % 1_000,
                             policy.design_rate_rps
                         ),
                     )
                     .with_note("scenario", &label)
                     .with_note("instance", i)
-                    .with_note("load_milli_rps", load.rps_milli)
+                    .with_note("load_milli_rps", load_milli)
                     .with_note("design_milli_rps", design_milli),
                 );
             }
@@ -666,17 +675,57 @@ mod tests {
     }
 
     #[test]
-    fn load_pass_converges_to_the_hash_split() {
-        let graph = FleetGraph::lower(&shipped(), None);
-        let fx = run_to_fixpoint(&graph, &LoadPass);
-        // Two edge tenants at 60 req/s over two instances: 60 each.
-        let i0 = &fx.values[graph.instance(0)];
-        assert!(i0.reached);
-        assert_eq!(i0.rps_milli, 60_000);
-        // Loss of instance 0 doubles the survivor's share.
-        let graph = FleetGraph::lower(&shipped(), Some(0));
-        let fx = run_to_fixpoint(&graph, &LoadPass);
-        assert_eq!(fx.values[graph.instance(1)].rps_milli, 120_000);
-        assert!(!fx.values[graph.instance(0)].reached);
+    fn wcrt_table_and_fleet_loads_are_pinned() {
+        // The per-policy serving facts both families derive from, pinned
+        // as literals so any change to how they are computed must
+        // reproduce them exactly. `wcrt[class][tier]`, classes strict /
+        // standard / relaxed: standard tier 0 of edge_default is
+        // 2 backlog batches × 1397 + 2000 window + 1397 service.
+        let t = table();
+        let wcrt = |p: &ServeConfig| {
+            let mut ds = Diagnostics::new();
+            let points = crate::schedcheck::resolve_points(p, &t, &mut ds, "test")
+                .expect("shipped policies resolve");
+            crate::schedcheck::response_times(p, &points)
+        };
+        assert_eq!(
+            wcrt(&ServeConfig::edge_default()),
+            [
+                [21_443, 17_527, 15_411],
+                [6_191, 5_338, 4_911],
+                [2_933, 2_856, 2_739]
+            ]
+        );
+        assert_eq!(
+            wcrt(&ServeConfig::streaming_keyword()),
+            [[2_436, 1_737], [525, 365], [117, 93]]
+        );
+
+        // Per-instance load in milli-req/s of the shipped fleet (two edge
+        // instances at 2 × 60 req/s, two streaming instances at
+        // 2 × 30 req/s): the hash split shares each model's tenants over
+        // its surviving replicas, and a lost instance carries nothing.
+        let cfg = shipped();
+        let loads = |lost| instance_loads(&cfg, lost);
+        assert_eq!(
+            loads(None),
+            [Some(60_000), Some(60_000), Some(30_000), Some(30_000)]
+        );
+        assert_eq!(
+            loads(Some(0)),
+            [None, Some(120_000), Some(30_000), Some(30_000)]
+        );
+        assert_eq!(
+            loads(Some(1)),
+            [Some(120_000), None, Some(30_000), Some(30_000)]
+        );
+        assert_eq!(
+            loads(Some(2)),
+            [Some(60_000), Some(60_000), None, Some(60_000)]
+        );
+        assert_eq!(
+            loads(Some(3)),
+            [Some(60_000), Some(60_000), Some(60_000), None]
+        );
     }
 }
