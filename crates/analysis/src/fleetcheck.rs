@@ -10,218 +10,76 @@
 //!   per-core weight-SRAM envelope — with an advisory when less than 1/8
 //!   headroom remains for rollback versions.
 //! * **Rebalance feasibility** (`E111`): for the nominal fleet *and*
-//!   every single-instance-loss scenario, the per-tenant offered load is
-//!   lowered into the same fixpoint IR every other pass uses (tenant
-//!   nodes flowing into instance nodes over the consistent-hash split)
-//!   and the converged per-instance load must stay within each policy's
-//!   declared `design_rate_rps`.
+//!   every single-instance-loss scenario, each instance's load — its
+//!   model's tenant rates split over the surviving replicas by the
+//!   consistent hash — must stay within its policy's declared
+//!   `design_rate_rps`, and every model with bound tenants must keep a
+//!   surviving instance.
 //! * **SLA coverage** (`E112`): every tenant's SLA deadline is reachable
 //!   by at least one tier of its policy's degradation ladder, under the
 //!   simulator-calibrated service times of `COST_TABLE.json` scaled to
-//!   the tenant's tolerance class (the same step-count law
-//!   [`crate::schedcheck`] uses).
+//!   the tenant's tolerance class (the same tier points and step-count
+//!   law [`crate::schedcheck`] uses).
 //! * **Version provenance** (`E113`): every published [`ModelHandle`](enode_serve::registry::ModelHandle)'s
 //!   recorded fingerprint matches the FNV-1a digest recomputed from its
 //!   name, version, and ladder — a registry entry cannot silently drift
 //!   from the policy it claims to serve.
-//! * **Structure** (`E114`): the assignment names a live model per
-//!   instance and every tenant's model is served somewhere.
+//! * **Structure** (`E114`): the hardware configuration is valid, the
+//!   assignment names a live model per instance and every tenant's model
+//!   is served somewhere.
 //!
 //! Like `E093` in [`crate::schedcheck`], the structural and provenance
 //! checks short-circuit: verdicts derived from a malformed fleet or a
 //! stale registry would be unsound, so nothing else runs until they pass.
 
-use crate::benchjson::{CostTableRow, ParsedCostTable};
+use crate::benchjson::ParsedCostTable;
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use crate::engine::{run_to_fixpoint, DataflowGraph, Direction, Lattice, Pass};
-use crate::schedcheck::class_service_us;
+use crate::schedcheck::{class_service_us, resolve_points};
 use enode_hw::mapping::per_core_weight_bytes;
+use enode_serve::fingerprint as ladder_fingerprint;
 use enode_serve::fleet::FleetConfig;
 use enode_serve::registry::version_fingerprint;
-use enode_serve::{fingerprint as ladder_fingerprint, ServeConfig};
 
 /// A core must keep `1/HEADROOM_DENOM` of its weight buffer free after
 /// the live set is pinned, or `W110` fires: a publish with less headroom
 /// evicts rollback versions immediately.
 pub const HEADROOM_DENOM: u64 = 8;
 
-/// Node roles of the lowered fleet-load graph: tenants originate their
-/// offered rate, instances accumulate their consistent-hash share of it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FleetNode {
-    /// One tenant binding (index into the registry's tenant list).
-    Tenant(usize),
-    /// One serve instance (index into the fleet assignment).
-    Instance(usize),
-}
-
-/// One loss scenario of the fleet, lowered to a [`DataflowGraph`]:
-/// tenant nodes feed the alive instances serving their model.
-pub struct FleetGraph {
-    nodes: Vec<FleetNode>,
-    preds: Vec<Vec<usize>>,
-    /// Offered rate in milli-req/s at tenant nodes; 0 at instances.
-    rate_milli: Vec<u64>,
-    /// Alive-survivor count of the node's model at instance nodes (the
-    /// consistent-hash split denominator); 0 elsewhere.
-    survivors: Vec<u64>,
-}
-
-impl FleetGraph {
-    /// Lowers `config` with instance `lost` removed (`None` = nominal).
-    fn lower(config: &FleetConfig, lost: Option<usize>) -> FleetGraph {
-        let tenants = &config.registry.tenants;
-        let n_tenants = tenants.len();
-        let n_instances = config.instances;
-        let alive = |i: usize| lost != Some(i);
-        let mut nodes = Vec::with_capacity(n_tenants + n_instances);
-        let mut preds = Vec::with_capacity(n_tenants + n_instances);
-        let mut rate_milli = Vec::with_capacity(n_tenants + n_instances);
-        let mut survivors = Vec::with_capacity(n_tenants + n_instances);
-        for (t, b) in tenants.iter().enumerate() {
-            nodes.push(FleetNode::Tenant(t));
-            preds.push(Vec::new());
-            rate_milli.push((b.rate_rps * 1_000.0).round() as u64);
-            survivors.push(0);
-        }
-        for (i, model) in config.assignment.iter().enumerate() {
-            nodes.push(FleetNode::Instance(i));
-            let feeders = if alive(i) {
-                tenants
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, b)| b.model == *model)
-                    .map(|(t, _)| t)
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            preds.push(feeders);
-            rate_milli.push(0);
-            survivors.push(
-                config
-                    .assignment
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, m)| alive(*j) && *m == model)
-                    .count() as u64,
-            );
-        }
-        FleetGraph {
-            nodes,
-            preds,
-            rate_milli,
-            survivors,
-        }
-    }
-
-    /// The node index of instance `i`.
-    fn instance(&self, i: usize) -> usize {
-        self.nodes
-            .iter()
-            .position(|n| *n == FleetNode::Instance(i))
-            .expect("instance node exists")
-    }
-}
-
-impl DataflowGraph for FleetGraph {
-    fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-    fn preds(&self, node: usize) -> &[usize] {
-        &self.preds[node]
-    }
-}
-
-/// The load lattice: milli-req/s arriving at a node.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Load {
-    /// Whether any offered stream reaches this node.
-    pub reached: bool,
-    /// Accumulated offered load, milli-req/s.
-    pub rps_milli: u64,
-}
-
-impl Lattice for Load {
-    fn bottom() -> Self {
-        Load {
-            reached: false,
-            rps_milli: 0,
-        }
-    }
-    fn join_from(&mut self, other: &Self) -> bool {
-        let mut changed = false;
-        if other.reached && !self.reached {
-            self.reached = true;
-            changed = true;
-        }
-        if other.rps_milli > self.rps_milli {
-            self.rps_milli = other.rps_milli;
-            changed = true;
-        }
-        changed
-    }
-}
-
-/// The forward load pass: tenants originate their offered rate; an
-/// instance sums each feeding tenant's per-survivor share (ceiling
-/// division keeps the bound conservative).
-pub struct LoadPass;
-
-impl Pass<FleetGraph> for LoadPass {
-    type Value = Load;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn transfer(&self, graph: &FleetGraph, node: usize, deps: &[Load]) -> Load {
-        match graph.nodes[node] {
-            FleetNode::Tenant(_) => Load {
-                reached: true,
-                rps_milli: graph.rate_milli[node],
-            },
-            FleetNode::Instance(_) => {
-                let share = graph.survivors[node].max(1);
-                let mut out = Load::bottom();
-                for d in deps.iter().filter(|d| d.reached) {
-                    out.reached = true;
-                    out.rps_milli += d.rps_milli.div_ceil(share);
-                }
-                out
-            }
-        }
-    }
+/// Instances still serving `model` with instance `lost` down (`None` =
+/// nominal): the consistent-hash split denominator.
+fn survivors(config: &FleetConfig, lost: Option<usize>, model: &str) -> u64 {
+    config
+        .assignment
+        .iter()
+        .enumerate()
+        .filter(|&(j, m)| lost != Some(j) && m == model)
+        .count() as u64
 }
 
 /// Per-instance offered load in milli-req/s with instance `lost` down
-/// (`None` = nominal): `None` for the lost instance and for an instance
-/// no tenant feeds.
+/// (`None` = nominal): the sum over its model's tenants of each tenant's
+/// per-survivor share (ceiling division keeps the bound conservative).
+/// `None` for the lost instance and for an instance no tenant feeds.
 pub(crate) fn instance_loads(config: &FleetConfig, lost: Option<usize>) -> Vec<Option<u64>> {
-    let graph = FleetGraph::lower(config, lost);
-    let fx = run_to_fixpoint(&graph, &LoadPass);
-    (0..config.assignment.len())
-        .map(|i| {
-            let load = &fx.values[graph.instance(i)];
-            load.reached.then_some(load.rps_milli)
+    config
+        .assignment
+        .iter()
+        .enumerate()
+        .map(|(i, model)| {
+            let rates: Vec<u64> = config
+                .registry
+                .tenants
+                .iter()
+                .filter(|b| b.model == *model)
+                .map(|b| (b.rate_rps * 1_000.0).round() as u64)
+                .collect();
+            if lost == Some(i) || rates.is_empty() {
+                return None;
+            }
+            let share = survivors(config, lost, model);
+            Some(rates.iter().map(|r| r.div_ceil(share)).sum())
         })
         .collect()
-}
-
-/// The `(latency at max_batch, f_evals)` design point of one tier,
-/// resolved exactly or by the same linear extrapolation
-/// [`crate::schedcheck`] applies (provenance advisories are that pass's
-/// job — this one only needs the number).
-fn tier_point(policy: &ServeConfig, tier: usize, table: &ParsedCostTable) -> Option<(u64, usize)> {
-    let rows: Vec<&CostTableRow> = table.rows_for(policy.name, tier);
-    let largest = rows.last()?;
-    match rows.iter().find(|r| r.batch == policy.max_batch) {
-        Some(r) => Some((r.latency_us, r.f_evals)),
-        None => Some((
-            (largest.latency_us * policy.max_batch as u64).div_ceil(largest.batch.max(1) as u64),
-            largest.f_evals,
-        )),
-    }
 }
 
 /// Lints one fleet config against one parsed cost table. Split out from
@@ -233,6 +91,13 @@ pub fn lint_fleet(config: &FleetConfig, table: &ParsedCostTable) -> Diagnostics 
     let registry = &config.registry;
 
     // --- E114 first: structural soundness gates everything else. ---
+    if let Err(why) = config.hw.validate() {
+        ds.push(Diagnostic::new(
+            Code::E114FleetConfigMalformed,
+            &subject,
+            format!("hardware configuration is invalid: {why}"),
+        ));
+    }
     if config.instances == 0 {
         ds.push(Diagnostic::new(
             Code::E114FleetConfigMalformed,
@@ -368,8 +233,8 @@ pub fn lint_fleet(config: &FleetConfig, table: &ParsedCostTable) -> Diagnostics 
         }
     }
 
-    // --- E111: rebalance feasibility via the fixpoint engine, for the
-    // nominal fleet and every single-instance loss. ---
+    // --- E111: rebalance feasibility, for the nominal fleet and every
+    // single-instance loss. ---
     let scenarios = std::iter::once(None).chain((0..config.instances).map(Some));
     for lost in scenarios {
         let label = match lost {
@@ -379,13 +244,7 @@ pub fn lint_fleet(config: &FleetConfig, table: &ParsedCostTable) -> Diagnostics 
         // A model with bound tenants but no surviving instance is
         // unservable outright.
         for b in &registry.tenants {
-            let survivors = config
-                .assignment
-                .iter()
-                .enumerate()
-                .filter(|(j, m)| lost != Some(*j) && **m == b.model)
-                .count();
-            if survivors == 0 {
+            if survivors(config, lost, &b.model) == 0 {
                 ds.push(
                     Diagnostic::new(
                         Code::E111FleetRebalanceInfeasible,
@@ -436,20 +295,26 @@ pub fn lint_fleet(config: &FleetConfig, table: &ParsedCostTable) -> Diagnostics 
     // tier covers the SLA when its admission threshold admits it and the
     // window plus one in-flight batch plus its own dispatch fit. Table
     // provenance is schedcheck's job (E093): a policy whose ladder
-    // drifted from the table is skipped here, not double-reported. ---
+    // drifted from the table, or whose rows are missing or corrupt
+    // (E094/E095), is skipped here, not double-reported. ---
     for b in &registry.tenants {
         let policy = &registry.live(&b.model).expect("E114 checked").policy;
         if table.fingerprint(policy.name) != Some(ladder_fingerprint(policy).as_str()) {
             continue;
         }
-        let covered = policy.tiers.iter().enumerate().any(|(t_ix, t)| {
-            let Some(point) = tier_point(policy, t_ix, table) else {
-                return false;
-            };
-            let service = class_service_us(policy, t_ix, point, b.class);
-            t.min_slack_us <= b.sla_deadline_us
-                && policy.batch_window_us + 2 * service <= b.sla_deadline_us
-        });
+        let Some(points) = resolve_points(policy, table, &mut Diagnostics::new(), &subject) else {
+            continue;
+        };
+        let covered = policy
+            .tiers
+            .iter()
+            .zip(&points)
+            .enumerate()
+            .any(|(t_ix, (t, point))| {
+                let service = class_service_us(policy, t_ix, point, b.class);
+                t.min_slack_us <= b.sla_deadline_us
+                    && policy.batch_window_us + 2 * service <= b.sla_deadline_us
+            });
         if !covered {
             ds.push(
                 Diagnostic::new(
@@ -486,8 +351,7 @@ pub fn lint_fleet(config: &FleetConfig, table: &ParsedCostTable) -> Diagnostics 
             .filter(|b| b.model == *name)
             .map(|b| b.quota)
             .sum();
-        let replicas = config.assignment.iter().filter(|m| *m == name).count();
-        let queue_sum = replicas
+        let queue_sum = survivors(config, None, name) as usize
             * registry
                 .live(name)
                 .expect("E114 checked")
@@ -593,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn post_loss_overload_fires_e111_with_the_fixpoint_load() {
+    fn post_loss_overload_fires_e111_with_the_split_load() {
         let mut cfg = shipped();
         // 150 req/s per edge tenant: fine across two instances (150 each,
         // design 200), infeasible on the single survivor (300).
@@ -635,6 +499,24 @@ mod tests {
             .collect();
         assert_eq!(hits.len(), 1);
         assert!(hits[0].message.contains("vision_a"));
+    }
+
+    #[test]
+    fn unsound_table_rows_leave_e112_to_schedcheck() {
+        // Drop edge_default's tier-2 rows: schedcheck reports E094 for the
+        // table, so E112 derives no coverage verdict from it either, even
+        // for an SLA no tier could cover.
+        let mut cfg = shipped();
+        for b in &mut cfg.registry.tenants {
+            if b.tenant == "vision_a" {
+                b.sla_deadline_us = 100;
+            }
+        }
+        let mut t = table();
+        t.rows
+            .retain(|r| !(r.policy == "edge_default" && r.tier == 2));
+        let ds = lint_fleet(&cfg, &t);
+        assert!(ds.is_empty(), "{ds}");
     }
 
     #[test]

@@ -37,11 +37,11 @@
 //!   serial-vs-parallel benefit from the proven access footprints,
 //!   cross-checked against the committed `BENCH_kernels.json`.
 //! * [`schedcheck`] — schedulability & energy-budget analysis
-//!   (`E090`–`E096`, `W090`–`W093`): the serving pipeline lowered into
-//!   the fixpoint IR, a backward demand pass computing worst-case
-//!   response time per tolerance class under the simulator-calibrated
-//!   `COST_TABLE.json`, plus per-request energy and sustained-power
-//!   budgets and table-provenance checks.
+//!   (`E090`–`E096`, `W090`–`W093`): closed-form worst-case response
+//!   time per tolerance class and tier (queue drain + batch window +
+//!   service) under the simulator-calibrated `COST_TABLE.json`, plus
+//!   per-request energy and sustained-power budgets and
+//!   table-provenance checks.
 //! * [`synccheck`] — concurrency skeleton proofs (`E100`–`E106`,
 //!   `W100`–`W103`): the declared lock/condvar/atomic protocols of the
 //!   serving runtime and the worker pool checked for lock-order
@@ -49,8 +49,8 @@
 //!   discipline, cross-checked at runtime by the `synctrace` tracer.
 //! * [`fleetcheck`] — fleet registry & residency proofs (`E110`–`E114`,
 //!   `W110`–`W111`): aggregate weight-SRAM residency per instance,
-//!   rebalance feasibility under every single-node loss (a forward load
-//!   pass on the fixpoint engine), tenant-SLA ladder coverage, and
+//!   rebalance feasibility under every single-node loss (each tenant's
+//!   rate split over its model's survivors), tenant-SLA ladder coverage, and
 //!   published-version fingerprint provenance.
 //!
 //! [`benchjson`] holds the shared line scanner both committed-artifact

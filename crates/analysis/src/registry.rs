@@ -363,13 +363,13 @@ pub fn explanation(code: Code) -> &'static str {
              multi-core host before drawing scheduling conclusions."
         }
         Code::E090SchedDeadlineInfeasible => {
-            "The backward demand pass over the serving pipeline (admission queue → batch \
-             window → worker lanes) computes, per tolerance class, a worst-case response time \
-             of full-queue drain + batch window + the simulator-calibrated service time from \
-             COST_TABLE.json — and it exceeds the tightest admitted deadline at *every* tier \
-             of the degradation ladder. No runtime policy can save such a deployment: even a \
-             request served maximally degraded misses by construction. Raise the deadline \
-             floor, shrink the queue/window, or make the cheapest tier cheaper."
+            "The worst-case response time over the serving pipeline (admission queue → batch \
+             window → worker lanes) — per tolerance class, full-queue drain + batch window + \
+             the simulator-calibrated service time from COST_TABLE.json — exceeds the \
+             tightest admitted deadline at *every* tier of the degradation ladder. No runtime \
+             policy can save such a deployment: even a request served maximally degraded \
+             misses by construction. Raise the deadline floor, shrink the queue/window, or \
+             make the cheapest tier cheaper."
         }
         Code::E091SchedLadderNoRecovery => {
             "Tier selection routes a request to tier t when its remaining slack is at least \
@@ -560,12 +560,11 @@ pub fn explanation(code: Code) -> &'static str {
             "Some single-instance loss (or the nominal deployment itself) leaves tenant load \
              unservable: either no surviving instance serves a model that still has bound \
              tenants, or the consistent-hash rebalance concentrates more offered req/s onto \
-             a survivor than its policy's declared design_rate_rps. The verdict comes from \
-             the fixpoint load pass: tenant nodes originate their bound rates, instance \
-             nodes accumulate per-survivor shares, and every loss scenario is re-converged. \
-             A fleet that only works while all instances are up has no failure story — add \
-             a replica of the starved model or lower the tenant rates until one loss is \
-             absorbable."
+             a survivor than its policy's declared design_rate_rps. Each instance's load is \
+             the sum of its model's tenant rates, each split evenly (rounded up) over that \
+             model's surviving instances, recomputed for every loss scenario. A fleet that \
+             only works while all instances are up has no failure story — add a replica of \
+             the starved model or lower the tenant rates until one loss is absorbable."
         }
         Code::E112FleetSlaUncovered => {
             "A tenant's SLA deadline is covered by no tier of its model's degradation \
@@ -594,7 +593,9 @@ pub fn explanation(code: Code) -> &'static str {
              registry, or a tenant is bound to a model no instance serves. The runtime \
              constructor panics on the same conditions; this lint reports them statically \
              and short-circuits the rest of the family, since residency, rebalance, and \
-             SLA verdicts are meaningless over a fleet that cannot be built."
+             SLA verdicts are meaningless over a fleet that cannot be built. An invalid \
+             hardware configuration (one HwConfig::validate rejects, such as zero cores) \
+             is reported here too: no weight placement can be computed over it."
         }
         Code::W110FleetResidencyHeadroom => {
             "An instance's pinned live set fits its weight SRAM, but leaves less than 1/8 \

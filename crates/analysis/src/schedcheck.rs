@@ -5,29 +5,25 @@
 //!
 //! # How the verdicts are derived
 //!
-//! The serving pipeline is lowered into the same dataflow IR every other
-//! pass in this crate uses: per `(tolerance class, tier)` the pipeline is
-//! a chain
+//! Per `(tolerance class, tier)` a request crosses the serving pipeline
 //!
 //! ```text
 //! Admission ──▶ Window ──▶ Service(tier) ──▶ Response
 //! ```
 //!
-//! and a **backward demand pass** on [`crate::engine`] propagates the
-//! worst-case time-to-response from the `Response` boundary back to
-//! `Admission`:
+//! and its worst-case response time WCRT(class, tier) is the sum of three
+//! charges, computed in closed form by `response_times`:
 //!
-//! * `Response` originates demand 0;
-//! * `Service(tier)` adds the simulated per-batch service time at the
+//! * `Admission` charges the full-queue drain — `ceil(queue / max_batch)`
+//!   batches served on tier 0 (the worst case) at the request's own
+//!   class, i.e. assuming the queue holds one class;
+//! * `Window` charges the batcher's full hold window;
+//! * `Service(tier)` charges the simulated per-batch service time at the
 //!   policy's `max_batch`, scaled from the table's Standard-class row to
-//!   the chain's tolerance class through the step-count law
-//!   ([`enode_hw::table::points_for`]);
-//! * `Window` adds the batcher's full hold window;
-//! * `Admission` adds the full-queue drain — `ceil(queue / max_batch)`
-//!   batches served at tier-0 (worst-case) cost.
+//!   the class through the step-count law
+//!   ([`enode_hw::table::points_for`]).
 //!
-//! The fixpoint value at `Admission` is the worst-case response time
-//! WCRT(class, tier); the lints compare it against the policy's envelope.
+//! The lints compare the WCRT against the policy's envelope.
 //!
 //! # Trust, but verify the table
 //!
@@ -41,7 +37,6 @@
 
 use crate::benchjson::{parse_cost_table, CostTableRow, ParsedCostTable};
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use crate::engine::{run_to_fixpoint, DataflowGraph, Direction, Lattice, Pass};
 use enode_hw::table::{points_for, tableau_cost, trials_for, TABLE_VERSION};
 use enode_serve::{fingerprint, ServeConfig, ToleranceClass};
 
@@ -53,8 +48,8 @@ pub const SHIPPED_TABLE: &str = include_str!("../../../COST_TABLE.json");
 /// before `W093` stops firing: 10%.
 pub const THIN_MARGIN_FRACTION: u64 = 10;
 
-/// The tolerance classes a policy admits, tightest first — every chain in
-/// the lowered pipeline exists once per class.
+/// The tolerance classes a policy admits, tightest first — every WCRT is
+/// derived once per class.
 pub const CLASSES: [ToleranceClass; 3] = [
     ToleranceClass::Strict,
     ToleranceClass::Standard,
@@ -74,22 +69,15 @@ pub(crate) struct TierPoint {
     f_evals: usize,
 }
 
-impl TierPoint {
-    /// The `(latency_us, f_evals)` pair [`class_service_us`] scales.
-    fn service(&self) -> (u64, usize) {
-        (self.latency_us, self.f_evals)
-    }
-}
-
-/// Scales a tier's Standard-class service time `(latency_us, f_evals)`
-/// to `class` via the step-count law: the simulated latency is linear in
-/// f-evals per sample, and the class multiplies the effective tolerance
-/// scale by `class.tolerance() / 1e-4`. Shared with
-/// [`crate::fleetcheck`]'s SLA-coverage proof.
+/// Scales a tier's Standard-class service time to `class` via the
+/// step-count law: the simulated latency is linear in f-evals per sample,
+/// and the class multiplies the effective tolerance scale by
+/// `class.tolerance() / 1e-4`. Shared with [`crate::fleetcheck`]'s
+/// SLA-coverage proof.
 pub(crate) fn class_service_us(
     policy: &ServeConfig,
     tier: usize,
-    (latency_us, point_f_evals): (u64, usize),
+    point: &TierPoint,
     class: ToleranceClass,
 ) -> u64 {
     let t = &policy.tiers[tier];
@@ -99,164 +87,21 @@ pub(crate) fn class_service_us(
     let f_evals = trials_for(points, t.max_trials) * stages;
     // Ceiling division keeps the bound conservative and the arithmetic
     // integral (byte-stable messages).
-    (latency_us * f_evals as u64).div_ceil(point_f_evals.max(1) as u64)
+    (point.latency_us * f_evals as u64).div_ceil(point.f_evals.max(1) as u64)
 }
 
-/// Node roles of the lowered serving pipeline. One chain per
-/// `(class, tier)`; `Admission` is the chain's entry (where WCRT is
-/// read), `Response` the demand boundary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeNode {
-    /// Ingress queue: charges the full-queue drain at tier-0 cost.
-    Admission { class: usize, tier: usize },
-    /// Dynamic batcher: charges the full hold window.
-    Window { class: usize, tier: usize },
-    /// Worker lanes: charges the class-scaled simulated service time.
-    Service { class: usize, tier: usize },
-    /// Completion boundary: originates demand 0.
-    Response { class: usize, tier: usize },
-}
-
-/// The serving pipeline of one policy, lowered to a [`DataflowGraph`]:
-/// `classes × tiers` four-node chains (a forest — the engine treats every
-/// `Response` as a backward boundary).
-pub struct ServeGraph {
-    nodes: Vec<ServeNode>,
-    preds: Vec<Vec<usize>>,
-    /// Per-chain costs, indexed like `nodes`: what each node adds to the
-    /// demand flowing through it.
-    cost_us: Vec<u64>,
-}
-
-impl ServeGraph {
-    /// Lowers `policy` against its resolved tier points. The `Admission`
-    /// charge is the full-queue drain — `ceil(queue / max_batch)` batches
-    /// served at the chain's class on tier 0 (the worst case).
-    fn lower(policy: &ServeConfig, points: &[TierPoint]) -> ServeGraph {
-        let n_tiers = policy.tiers.len();
-        let backlog_batches = policy.queue_capacity.div_ceil(policy.max_batch.max(1)) as u64;
-        let mut nodes = Vec::new();
-        let mut preds = Vec::new();
-        let mut cost_us = Vec::new();
-        for (c, class) in CLASSES.iter().enumerate() {
-            let tier0_service = class_service_us(policy, 0, points[0].service(), *class);
-            for (t, point) in points.iter().enumerate().take(n_tiers) {
-                let base = nodes.len();
-                nodes.push(ServeNode::Admission { class: c, tier: t });
-                preds.push(Vec::new());
-                cost_us.push(backlog_batches * tier0_service);
-                nodes.push(ServeNode::Window { class: c, tier: t });
-                preds.push(vec![base]);
-                cost_us.push(policy.batch_window_us);
-                nodes.push(ServeNode::Service { class: c, tier: t });
-                preds.push(vec![base + 1]);
-                cost_us.push(class_service_us(policy, t, point.service(), *class));
-                nodes.push(ServeNode::Response { class: c, tier: t });
-                preds.push(vec![base + 2]);
-                cost_us.push(0);
-            }
-        }
-        ServeGraph {
-            nodes,
-            preds,
-            cost_us,
-        }
-    }
-
-    /// The node index of one chain's `Admission` entry.
-    fn admission(&self, class: usize, tier: usize) -> usize {
-        self.nodes
-            .iter()
-            .position(|n| *n == ServeNode::Admission { class, tier })
-            .expect("chain exists")
-    }
-}
-
-impl DataflowGraph for ServeGraph {
-    fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-    fn preds(&self, node: usize) -> &[usize] {
-        &self.preds[node]
-    }
-}
-
-/// The demand lattice: µs still needed to reach a `Response` from here.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Demand {
-    /// Whether any response boundary is reachable yet.
-    pub reached: bool,
-    /// Worst-case µs to response over all reachable paths.
-    pub us: u64,
-}
-
-impl Lattice for Demand {
-    fn bottom() -> Self {
-        Demand {
-            reached: false,
-            us: 0,
-        }
-    }
-    fn join_from(&mut self, other: &Self) -> bool {
-        let mut changed = false;
-        if other.reached && !self.reached {
-            self.reached = true;
-            changed = true;
-        }
-        if other.us > self.us {
-            self.us = other.us;
-            changed = true;
-        }
-        changed
-    }
-}
-
-/// The backward worst-case-response-time pass: each node's demand is the
-/// maximum over its successors' demands plus its own charge; `Response`
-/// nodes originate demand 0.
-pub struct WcrtPass;
-
-impl Pass<ServeGraph> for WcrtPass {
-    type Value = Demand;
-
-    fn direction(&self) -> Direction {
-        Direction::Backward
-    }
-
-    fn transfer(&self, graph: &ServeGraph, node: usize, deps: &[Demand]) -> Demand {
-        if matches!(graph.nodes[node], ServeNode::Response { .. }) {
-            return Demand {
-                reached: true,
-                us: 0,
-            };
-        }
-        let mut out = Demand::bottom();
-        for d in deps.iter().filter(|d| d.reached) {
-            out.reached = true;
-            out.us = out.us.max(d.us);
-        }
-        if out.reached {
-            out.us += graph.cost_us[node];
-        }
-        out
-    }
-}
-
-/// Worst-case response times of one policy under resolved tier points:
-/// `wcrt[class][tier]` in µs, straight off the fixpoint.
+/// Worst-case response times of one policy under resolved tier points,
+/// `wcrt[class][tier]` in µs: full-queue drain at the class's tier-0 cost,
+/// plus the full batch window, plus the class's service time at the tier.
 pub(crate) fn response_times(policy: &ServeConfig, points: &[TierPoint]) -> Vec<Vec<u64>> {
-    let graph = ServeGraph::lower(policy, points);
-    let fx = run_to_fixpoint(&graph, &WcrtPass);
+    let backlog_batches = policy.queue_capacity.div_ceil(policy.max_batch.max(1)) as u64;
     CLASSES
         .iter()
-        .enumerate()
-        .map(|(c, _)| {
-            (0..policy.tiers.len())
-                .map(|t| {
-                    let v = &fx.values[graph.admission(c, t)];
-                    debug_assert!(v.reached, "every chain reaches its response");
-                    v.us
-                })
+        .map(|&class| {
+            let service = |tier: usize| class_service_us(policy, tier, &points[tier], class);
+            let drain = backlog_batches * service(0);
+            (0..points.len())
+                .map(|tier| drain + policy.batch_window_us + service(tier))
                 .collect()
         })
         .collect()
@@ -264,7 +109,9 @@ pub(crate) fn response_times(policy: &ServeConfig, points: &[TierPoint]) -> Vec<
 
 /// Resolves the `(tier, max_batch)` design point for every tier, pushing
 /// `E094`/`E095`/`W092` as found. Returns `None` if any tier is missing
-/// or corrupt (the WCRT analysis cannot run on it).
+/// or corrupt (no verdict can be derived from it). The one place a
+/// missing `max_batch` row is extrapolated: [`crate::fleetcheck`] reads
+/// its SLA-coverage prices from here too.
 pub(crate) fn resolve_points(
     policy: &ServeConfig,
     table: &ParsedCostTable,
@@ -409,6 +256,10 @@ pub fn lint_config(policy: &ServeConfig, table: &ParsedCostTable) -> Diagnostics
     let Some(points) = resolve_points(policy, table, &mut ds, &subject) else {
         return ds;
     };
+    // An empty ladder has nothing to price; servecheck reports it (E072).
+    if points.is_empty() {
+        return ds;
+    }
 
     // --- energy verdicts (class-independent, Standard-class rows) ---
     // Per-request µJ at the tier's max_batch dispatch, ×10 fixed-point so
@@ -476,7 +327,7 @@ pub fn lint_config(policy: &ServeConfig, table: &ParsedCostTable) -> Diagnostics
         );
     }
 
-    // --- schedulability verdicts: the backward demand pass ---
+    // --- schedulability verdicts: the worst-case response times ---
     let wcrt = response_times(policy, &points);
     let deadline = policy.min_deadline_us;
     let n_tiers = policy.tiers.len();
@@ -548,8 +399,7 @@ pub fn lint_config(policy: &ServeConfig, table: &ParsedCostTable) -> Diagnostics
         if t.min_slack_us == 0 {
             continue;
         }
-        let worst_service =
-            class_service_us(policy, tier, points[tier].service(), ToleranceClass::Strict);
+        let worst_service = class_service_us(policy, tier, &points[tier], ToleranceClass::Strict);
         if worst_service > t.min_slack_us {
             ds.push(
                 Diagnostic::new(
@@ -652,14 +502,29 @@ mod tests {
                 );
             }
         }
-        for t_ix in 0..p.tiers.len() {
-            assert!(wcrt[0][t_ix] >= wcrt[1][t_ix], "strict >= standard");
-            assert!(wcrt[1][t_ix] >= wcrt[2][t_ix], "standard >= relaxed");
+        for pair in wcrt.windows(2) {
+            assert!(
+                pair[0].iter().zip(&pair[1]).all(|(a, b)| a >= b),
+                "tighter classes dominate: {wcrt:?}"
+            );
         }
-        // And the numbers are the recurrence, not an accident of the
-        // engine: standard tier-0 = 2 backlog batches × 1397 + 2000
-        // window + 1397 service.
-        assert_eq!(wcrt[1][0], 2 * 1397 + 2_000 + 1397);
+    }
+
+    #[test]
+    fn empty_ladder_yields_no_verdicts() {
+        // servecheck's E072 owns the empty ladder; here it must neither
+        // panic nor derive a verdict, even against a table that vouches
+        // for it.
+        let mut p = ServeConfig::edge_default();
+        p.tiers.clear();
+        let mut t = table();
+        for (name, fp) in &mut t.fingerprints {
+            if name == p.name {
+                *fp = fingerprint(&p);
+            }
+        }
+        let ds = lint_config(&p, &t);
+        assert!(ds.is_empty(), "{ds}");
     }
 
     #[test]

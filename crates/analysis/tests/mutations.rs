@@ -658,7 +658,7 @@ fn wait_starving_all_notifiers_fires_exactly_e106() {
 // Each seed doctors the shipped fleet config or registry snapshot — a
 // deployment someone *could* write — and asserts exactly the pinned
 // fleet code fires through the public `lint_fleet` entry point. `ci.sh`
-// runs these four by name as the E11x discrimination gate.
+// runs these five by name as the E11x discrimination gate.
 
 use enode_analysis::fleetcheck;
 use enode_hw::config::LayerDims;
@@ -755,4 +755,17 @@ fn tampered_registry_fingerprint_fires_exactly_e113() {
     let table = schedcheck::shipped_table().expect("committed table parses");
     let ds = fleetcheck::lint_fleet(&cfg, &table);
     assert_eq!(e11x_errors(&ds), ["E113"], "{}", ds.render());
+}
+
+#[test]
+fn zero_core_hw_fires_exactly_e114() {
+    // Mutation: a hardware config with no cores. Residency placement
+    // cannot even be computed over it, so the structural gate must
+    // report it and short-circuit before E110 runs.
+    let mut cfg = FleetConfig::shipped();
+    cfg.hw.cores = 0;
+    let table = schedcheck::shipped_table().expect("committed table parses");
+    let ds = fleetcheck::lint_fleet(&cfg, &table);
+    assert_eq!(e11x_errors(&ds), ["E114"], "{}", ds.render());
+    assert_eq!(ds.error_count(), 1, "{}", ds.render());
 }
