@@ -46,18 +46,14 @@
 //! unless the region declares exactly that much intentional slack
 //! (`W080`).
 //!
-//! # Engine wiring
+//! # Union footprints
 //!
-//! The per-region union footprint is computed as a forward dataflow
-//! pass on the fixpoint engine ([`crate::engine`]): the write accesses
-//! of a region form a chain graph, the lattice value is the
-//! [`Footprint`] accumulated so far, and the region's footprint is the
-//! fixpoint value at the chain's last node. The cost pass
-//! ([`crate::cost`]) reuses the same footprints for its bytes-moved
-//! model.
+//! The per-region union footprint is a fold over the region's write
+//! accesses: each access contributes its [`Footprint`], whose bounds
+//! and touched counts accumulate. The cost pass ([`crate::cost`])
+//! reuses the same footprints for its bytes-moved model.
 
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use crate::engine::{DataflowGraph, Lattice, Pass};
 use enode_tensor::access::{AccessKind, KernelAccessSummary, ScratchSource, StridedAccess};
 
 fn gcd(a: usize, b: usize) -> usize {
@@ -86,45 +82,18 @@ pub struct Footprint {
     pub covered: usize,
 }
 
-impl Lattice for Footprint {
-    fn bottom() -> Self {
-        Footprint {
-            reached: false,
-            min: 0,
-            max_end: 0,
-            covered: 0,
-        }
-    }
-
-    fn join_from(&mut self, other: &Self) -> bool {
-        if !other.reached {
-            return false;
-        }
-        if !self.reached {
-            *self = other.clone();
-            return true;
-        }
-        let mut changed = false;
-        if other.min < self.min {
-            self.min = other.min;
-            changed = true;
-        }
-        if other.max_end > self.max_end {
-            self.max_end = other.max_end;
-            changed = true;
-        }
-        if other.covered > self.covered {
-            self.covered = other.covered;
-            changed = true;
-        }
-        changed
-    }
-}
+/// The footprint of no access at all.
+const NO_FOOTPRINT: Footprint = Footprint {
+    reached: false,
+    min: 0,
+    max_end: 0,
+    covered: 0,
+};
 
 /// Interval and touched-count of one access over all `items`.
 fn access_footprint(a: &StridedAccess, items: usize) -> Footprint {
     if items == 0 || a.count == 0 {
-        return Footprint::bottom();
+        return NO_FOOTPRINT;
     }
     let last = a.offset + (items - 1) * a.stride_per_item + (a.count - 1) * a.elem_stride;
     let covered = if a.stride_per_item == 0 {
@@ -140,74 +109,23 @@ fn access_footprint(a: &StridedAccess, items: usize) -> Footprint {
     }
 }
 
-/// A chain graph: node `i`'s single predecessor is `i − 1`. One node
-/// per write access of the region whose footprint is being folded.
-struct AccessChain {
-    preds: Vec<Vec<usize>>,
-}
-
-impl AccessChain {
-    fn new(n: usize) -> Self {
-        AccessChain {
-            preds: (0..n)
-                .map(|i| if i == 0 { vec![] } else { vec![i - 1] })
-                .collect(),
-        }
-    }
-}
-
-impl DataflowGraph for AccessChain {
-    fn num_nodes(&self) -> usize {
-        self.preds.len()
-    }
-    fn preds(&self, node: usize) -> &[usize] {
-        &self.preds[node]
-    }
-}
-
-/// Folds each chain node's access into its predecessor's footprint.
-struct FootprintPass<'a> {
-    writes: Vec<&'a StridedAccess>,
-    items: usize,
-}
-
-impl Pass<AccessChain> for FootprintPass<'_> {
-    type Value = Footprint;
-
-    fn transfer(&self, _g: &AccessChain, node: usize, deps: &[Footprint]) -> Footprint {
-        let mut fp = deps.first().cloned().unwrap_or_else(Footprint::bottom);
-        let own = access_footprint(self.writes[node], self.items);
-        if own.reached {
-            if fp.reached {
-                fp.min = fp.min.min(own.min);
-                fp.max_end = fp.max_end.max(own.max_end);
-                fp.covered += own.covered;
-            } else {
-                fp = own;
-            }
-        }
-        fp
-    }
-}
-
-/// The union footprint of a region's write accesses, computed on the
-/// fixpoint engine (chain of accesses, forward pass).
+/// The union footprint of a region's write accesses, folded in
+/// declaration order.
 pub fn union_write_footprint(s: &KernelAccessSummary, region: &str) -> Footprint {
-    let writes: Vec<&StridedAccess> = s
-        .accesses
+    s.accesses
         .iter()
         .filter(|a| a.region == region && a.kind == AccessKind::Write)
-        .collect();
-    if writes.is_empty() {
-        return Footprint::bottom();
-    }
-    let chain = AccessChain::new(writes.len());
-    let pass = FootprintPass {
-        items: s.items,
-        writes,
-    };
-    let fix = crate::engine::run_to_fixpoint(&chain, &pass);
-    fix.values.last().cloned().unwrap_or_else(Footprint::bottom)
+        .map(|a| access_footprint(a, s.items))
+        .fold(NO_FOOTPRINT, |fp, own| match (fp.reached, own.reached) {
+            (_, false) => fp,
+            (false, true) => own,
+            (true, true) => Footprint {
+                reached: true,
+                min: fp.min.min(own.min),
+                max_end: fp.max_end.max(own.max_end),
+                covered: fp.covered + own.covered,
+            },
+        })
 }
 
 /// Why two items of one access collide, if they do.
@@ -734,9 +652,9 @@ mod tests {
     }
 
     #[test]
-    fn footprint_runs_on_the_fixpoint_engine() {
-        // Two write accesses fold across the chain graph into one union
-        // footprint (the engine wiring, not hand-rolled iteration).
+    fn footprint_unions_every_write_of_the_region() {
+        // Two write accesses fold into one union footprint: bounds widen
+        // and touched counts add.
         let mut s = good();
         s.regions[0].elems = 8 * 256 + 8;
         s.accesses.push(StridedAccess {

@@ -11,16 +11,15 @@
 //!   itself, not from the `HwConfig`'s nominal layer dims.
 //! * **`E061`** — the ACA checkpoint plan (`enode-node`) must fit the
 //!   on-chip training buffer: live checkpoints plus the per-interval
-//!   replay caches. Which caches are live is computed by a *backward*
-//!   demand pass on the fixpoint engine: a value is demanded iff an
-//!   adjoint replay (or anything feeding one) consumes it.
+//!   replay caches. Which caches are live is computed by one *backward*
+//!   sweep in reverse node-id order: a value is demanded iff an adjoint
+//!   replay (or anything feeding one) consumes it.
 //! * **`E062`** — the stepsize-controller bounds (`enode-node`) must be
 //!   satisfiable against the solver schedule: `dt_min` below the nominal
 //!   stepsize, shrink factor inside `(0, 1)`, and the rejection-trial
 //!   budget sufficient to walk from `default_dt` down to `dt_min`.
 
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use crate::engine::{run_to_fixpoint, Direction, Lattice, Pass};
 use crate::ir::{
     lower_pipeline, op_cache_bytes_fp16, op_weight_bytes_fp16, NodeKind, PipelineArtifact,
     ProgramGraph,
@@ -29,39 +28,20 @@ use enode_hw::mapping::per_core_weight_bytes;
 use enode_node::inference::ControllerKind;
 use enode_tensor::network::Op;
 
-/// Demand fact: is this node's value consumed (transitively) by an
-/// adjoint replay?
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Demand(bool);
-
-impl Lattice for Demand {
-    fn bottom() -> Self {
-        Demand(false)
-    }
-    fn join_from(&mut self, other: &Self) -> bool {
-        if other.0 && !self.0 {
-            self.0 = true;
-            return true;
+/// Per node: is its value consumed (transitively) by an adjoint replay?
+/// Replays originate demand and a demanded node demands its preds; every
+/// pred has a smaller id, so one reverse sweep settles every node.
+fn replay_demand(graph: &ProgramGraph) -> Vec<bool> {
+    let mut demanded = vec![false; graph.nodes().len()];
+    for (id, node) in graph.nodes().iter().enumerate().rev() {
+        if demanded[id] || matches!(node.kind, NodeKind::AdjointReplay { .. }) {
+            demanded[id] = true;
+            for &p in &node.preds {
+                demanded[p] = true;
+            }
         }
-        false
     }
-}
-
-/// Backward pass: adjoint replays originate demand; every producer a
-/// demanded node reads from becomes demanded in turn.
-struct DemandPass;
-
-impl Pass<ProgramGraph> for DemandPass {
-    type Value = Demand;
-    fn direction(&self) -> Direction {
-        Direction::Backward
-    }
-    fn transfer(&self, graph: &ProgramGraph, node: usize, deps: &[Demand]) -> Demand {
-        if matches!(graph.node(node).kind, NodeKind::AdjointReplay { .. }) {
-            return Demand(true);
-        }
-        Demand(deps.iter().any(|d| d.0))
-    }
+    demanded
 }
 
 /// Runs the cross-artifact consistency checks on one pipeline artifact.
@@ -195,7 +175,7 @@ pub fn lint_consistency(artifact: &PipelineArtifact) -> Diagnostics {
     }
 
     // --- E061: ACA checkpoint plan vs the training buffer ---
-    let fx = run_to_fixpoint(&lowered.graph, &DemandPass);
+    let demanded = replay_demand(&lowered.graph);
     let stride = solver.checkpoint_stride.max(1);
     let state_elems: usize = artifact.state_shape.iter().product();
     let state_bytes = 2 * state_elems as u64;
@@ -214,7 +194,7 @@ pub fn lint_consistency(artifact: &PipelineArtifact) -> Diagnostics {
                 op_index,
             } = node.kind
             {
-                if l == layer && fx.values[id].0 {
+                if l == layer && demanded[id] {
                     per_step_cache += op_cache_bytes_fp16(&net.ops()[op_index], &shapes[op_index]);
                 }
             }
@@ -271,19 +251,19 @@ mod tests {
     }
 
     #[test]
-    fn demand_pass_marks_exactly_the_replay_cone() {
+    fn replay_demand_covers_ops_and_checkpoints_but_not_placements() {
         let a = image_artifact(HwConfig::config_a());
         let lowered = lower_pipeline(&a);
-        let fx = run_to_fixpoint(&lowered.graph, &DemandPass);
+        let demanded = replay_demand(&lowered.graph);
         for (id, node) in lowered.graph.nodes().iter().enumerate() {
             match node.kind {
                 // Everything upstream of a replay is demanded; placement
                 // nodes feed nothing and must stay undemanded.
                 NodeKind::NetOp { .. } | NodeKind::Checkpoint { .. } => {
-                    assert!(fx.values[id].0, "node {id} should be demanded");
+                    assert!(demanded[id], "node {id} should be demanded");
                 }
                 NodeKind::MapLayer { .. } => {
-                    assert!(!fx.values[id].0, "placement node {id} demanded");
+                    assert!(!demanded[id], "placement node {id} demanded");
                 }
                 _ => {}
             }

@@ -5,15 +5,17 @@
 //! every integration layer, the RK stage schedule of the chosen Butcher
 //! tableau unrolled over the nominal accepted steps, the ACA checkpoint
 //! plan, and (when a hardware configuration is attached) the layer-to-core
-//! mapping — into a single [`ProgramGraph`] that the fixpoint engine
-//! ([`crate::engine`]) runs passes over. The same op-level transfer
-//! helpers back the single-network lowering ([`network_chain`]) that the
-//! ported `E02x` shape/range lints use, so every pass family shares one
-//! model of what each op does to shapes, magnitudes, and errors.
+//! mapping — into a single [`ProgramGraph`]. The graph is a DAG whose
+//! nodes are created in topological order (`preds[i] < i`), so every pass
+//! over it is one sweep: forward facts in id order, backward facts in
+//! reverse id order. The same op-level transfer helpers, and the one
+//! per-op shape walk (`infer_shapes`), back the `E02x` shape/range lints
+//! on a bare network, so every pass family shares one model of what each
+//! op does to shapes, magnitudes, and errors.
 //!
 //! # Predecessor conventions
 //!
-//! Transfer functions see `deps` in this order:
+//! A node's `preds` are listed in this order:
 //!
 //! * [`NodeKind::StateInput`] — `[]` for layer 0 (boundary), otherwise
 //!   `[final state of the previous layer]`.
@@ -27,14 +29,13 @@
 //! * [`NodeKind::MapLayer`] — `[step-0 stage-0 op output]` (structural:
 //!   ties the mapping to the computation it hosts; has no users).
 
-use crate::engine::DataflowGraph;
 use enode_hw::config::HwConfig;
 use enode_hw::mapping::map_layers;
 use enode_node::inference::NodeSolveOptions;
 use enode_node::model::NodeModel;
 use enode_ode::tableau::ButcherTableau;
 use enode_tensor::activation::Activation;
-use enode_tensor::network::Op;
+use enode_tensor::network::{Network, Op};
 
 /// Magnitude bound assumed for the ODE time `t` appended by `ConcatTime`
 /// (the paper integrates over `t ∈ [0, 1]`).
@@ -226,15 +227,6 @@ impl ProgramGraph {
     }
 }
 
-impl DataflowGraph for ProgramGraph {
-    fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-    fn preds(&self, node: usize) -> &[usize] {
-        &self.nodes[node].preds
-    }
-}
-
 /// A lowered pipeline: the graph plus the schedule facts passes need.
 #[derive(Clone, Debug)]
 pub struct LoweredPipeline {
@@ -246,8 +238,9 @@ pub struct LoweredPipeline {
     pub h: f64,
     /// Number of unrolled accepted steps per integration layer.
     pub n_steps: usize,
-    /// Per integration layer: the input shape of each op (`None` when
-    /// shape inference fails — the `E02x` lints report that separately).
+    /// Per integration layer: the input shape of each op, then the
+    /// layer's output shape (`None` when shape inference fails — the
+    /// `E02x` lints report that separately).
     pub op_shapes: Vec<Option<Vec<Vec<usize>>>>,
     /// Node id of each integration layer's final accepted state.
     pub layer_outputs: Vec<usize>,
@@ -279,19 +272,7 @@ pub fn lower_pipeline(artifact: &PipelineArtifact) -> LoweredPipeline {
 
     for (layer, net) in artifact.model.layers().iter().enumerate() {
         // Static per-op input shapes (identical at every stage and step).
-        let mut shapes = Vec::with_capacity(net.ops().len());
-        let mut shape = Some(artifact.state_shape.clone());
-        for op in net.ops() {
-            match &shape {
-                Some(s) => {
-                    shapes.push(s.clone());
-                    shape = op_output_shape(op, s).ok();
-                }
-                None => break,
-            }
-        }
-        let shapes_ok = shapes.len() == net.ops().len() && shape.is_some();
-        op_shapes.push(shapes_ok.then_some(shapes));
+        op_shapes.push(infer_shapes(net, &artifact.state_shape).ok());
 
         let entry = graph.push(
             NodeKind::StateInput { layer },
@@ -399,32 +380,26 @@ pub fn lower_pipeline(artifact: &PipelineArtifact) -> LoweredPipeline {
     }
 }
 
-/// Lowers a bare embedded network (no solver schedule) into a linear
-/// chain: one [`NodeKind::StateInput`] followed by one
-/// [`NodeKind::NetOp`] per op. This is the graph the ported `E02x`
-/// shape/range lints run on.
-pub fn network_chain(depth: usize) -> ProgramGraph {
-    let mut graph = ProgramGraph::default();
-    let mut cur = graph.push(NodeKind::StateInput { layer: 0 }, vec![]);
-    for op_index in 0..depth {
-        cur = graph.push(
-            NodeKind::NetOp {
-                layer: 0,
-                step: 0,
-                stage: 0,
-                op_index,
-            },
-            vec![cur],
-        );
-    }
-    graph
-}
-
 // ---------------------------------------------------------------------------
 // Op-level transfer helpers shared by the shape, range, and precision
 // passes. The shape/bound rules (and their error strings) are the ones the
-// pre-engine `shape.rs` lints shipped with; they must stay byte-stable.
+// `E02x` lints have always reported; they must stay byte-stable.
 // ---------------------------------------------------------------------------
+
+/// Threads `input_shape` through every op of `net`: the shape entering
+/// each op, then the network's output shape (`ops + 1` entries), or the
+/// first op index + reason that rejects its input.
+pub(crate) fn infer_shapes(
+    net: &Network,
+    input_shape: &[usize],
+) -> Result<Vec<Vec<usize>>, (usize, String)> {
+    let mut shapes = vec![input_shape.to_vec()];
+    for (op_index, op) in net.ops().iter().enumerate() {
+        let out = op_output_shape(op, &shapes[op_index]).map_err(|reason| (op_index, reason))?;
+        shapes.push(out);
+    }
+    Ok(shapes)
+}
 
 /// Shape inference for one op. `Ok(out_shape)` or `Err(reason)`.
 pub(crate) fn op_output_shape(op: &Op, shape: &[usize]) -> Result<Vec<usize>, String> {
@@ -619,7 +594,6 @@ fn abs_max(data: &[f32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DataflowGraph;
     use enode_hw::config::HwConfig;
 
     fn artifact(stride: usize, fp16: bool, hw: Option<HwConfig>) -> PipelineArtifact {
@@ -640,19 +614,24 @@ mod tests {
 
     #[test]
     fn lowering_is_topological_and_complete() {
-        let lp = lower_pipeline(&artifact(1, false, None));
-        let g = &lp.graph;
-        for (i, n) in g.nodes().iter().enumerate() {
-            for &p in &n.preds {
-                assert!(p < i, "node {i} has forward pred {p}");
+        // Every pass is one sweep in id order (reverse for backward
+        // facts), which is sound only while every pred precedes its node.
+        let shipped = crate::paper_pipelines();
+        for a in shipped.iter().chain([&artifact(1, false, None)]) {
+            for (i, n) in lower_pipeline(a).graph.nodes().iter().enumerate() {
+                for &p in &n.preds {
+                    assert!(p < i, "{}: node {i} has forward pred {p}", a.name);
+                }
             }
         }
+        let lp = lower_pipeline(&artifact(1, false, None));
+        let g = &lp.graph;
         // 2 layers × (1 input + 10 steps × (4 stages × (1 + 4 ops) + y⁺ + e)
         //             + 10 checkpoints + 10 replays).
         assert_eq!(lp.n_steps, 10);
         let stages = lp.tableau.stages();
         let per_layer = 1 + lp.n_steps * (stages * 5 + 2) + 10 + 10;
-        assert_eq!(g.num_nodes(), 2 * per_layer);
+        assert_eq!(g.nodes().len(), 2 * per_layer);
         assert_eq!(lp.layer_outputs.len(), 2);
         // Layers chain: layer 1's input depends on layer 0's output.
         let l1_in = g
@@ -660,7 +639,9 @@ mod tests {
             .iter()
             .position(|n| n.kind == NodeKind::StateInput { layer: 1 })
             .unwrap();
-        assert_eq!(g.preds(l1_in), &[lp.layer_outputs[0]]);
+        assert_eq!(g.node(l1_in).preds, [lp.layer_outputs[0]]);
+        assert_eq!(g.location(0), "L0.in");
+        assert_eq!(g.location(3), "L0.t0.k0.op0");
     }
 
     #[test]
@@ -697,14 +678,5 @@ mod tests {
             .collect();
         // dynamic_system layers have 2 dense ops each; 2 layers → 4 placements.
         assert_eq!(maps.len(), 4);
-    }
-
-    #[test]
-    fn network_chain_matches_depth() {
-        let g = network_chain(3);
-        assert_eq!(g.num_nodes(), 4);
-        assert_eq!(g.preds(3), &[2]);
-        assert_eq!(g.location(0), "L0.in");
-        assert!(g.location(2).starts_with("L0.t0.k0.op"));
     }
 }

@@ -1,11 +1,11 @@
 //! Static analysis for the eNODE stack.
 //!
-//! The crate is built around a small abstract-interpretation framework:
-//! [`ir`] lowers a whole pipeline artifact (model, solver schedule, ACA
-//! checkpoint plan, hardware mapping) into one typed dataflow program
-//! graph, and [`engine`] runs lattice-valued passes over it to a worklist
-//! fixpoint. Seven lint families report [`Diagnostic`]s with stable
-//! codes:
+//! The crate is built around one IR: [`ir`] lowers a whole pipeline
+//! artifact (model, solver schedule, ACA checkpoint plan, hardware
+//! mapping) into one typed dataflow program graph. The graph is a DAG
+//! built in topological order, so each pass over it is one sweep in node
+//! order (reverse order for backward facts). The lint families report
+//! [`Diagnostic`]s with stable codes:
 //!
 //! * [`tableau`] — Butcher-tableau consistency (`E001`–`E006`,
 //!   `W001`–`W002`): row sums, explicitness, order conditions through
@@ -15,7 +15,7 @@
 //!   one-row-lag retirement bound.
 //! * [`shape`] — embedded-network shapes and FP16 range (`E020`–`E022`,
 //!   `W020`): NCHW shape inference and worst-case interval propagation
-//!   against `F16::MAX`, run as forward passes on the engine.
+//!   against `F16::MAX`, each one loop over the network's ops.
 //! * [`hwcheck`] — hardware-configuration feasibility (`E030`–`E033`,
 //!   `W030`–`W033`): buffer provisioning, weight residency, DRAM and
 //!   ring-link bandwidth, layer-to-core mapping.
@@ -69,7 +69,6 @@ pub mod consistency;
 pub mod cost;
 pub mod ddg;
 pub mod diag;
-pub mod engine;
 pub mod fleetcheck;
 pub mod hwcheck;
 pub mod ir;

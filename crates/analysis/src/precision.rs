@@ -2,7 +2,7 @@
 //!
 //! Codes: `E050`–`E056`, `W050`–`W053`.
 //!
-//! One forward pass on the fixpoint engine propagates a
+//! One forward sweep in node-id order propagates a
 //! magnitude/rounding-error pair (`RangeErr`) through every node of the
 //! [`crate::ir::lower_pipeline`] graph: network ops amplify the incoming
 //! error by their perturbation gain, RK combines mix stage values with
@@ -23,10 +23,9 @@
 //! quantization that rivals the tolerance after replay (`W053`).
 
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use crate::engine::{run_to_fixpoint, Lattice, Pass};
 use crate::ir::{
     group_elems, lower_pipeline, op_error_gain, op_output_bound, LoweredPipeline, NodeKind,
-    PipelineArtifact, ProgramGraph,
+    PipelineArtifact,
 };
 use enode_tensor::f16::F16;
 use enode_tensor::network::Op;
@@ -45,51 +44,19 @@ struct RangeErr {
 }
 
 impl RangeErr {
+    /// Unreached: no numeric value flows here.
+    const BOTTOM: RangeErr = RangeErr {
+        reached: false,
+        mag: 0.0,
+        err: 0.0,
+    };
+
     fn new(mag: f64, err: f64) -> Self {
         RangeErr {
             reached: true,
             mag,
             err,
         }
-    }
-}
-
-impl Lattice for RangeErr {
-    fn bottom() -> Self {
-        RangeErr {
-            reached: false,
-            mag: 0.0,
-            err: 0.0,
-        }
-    }
-    fn join_from(&mut self, other: &Self) -> bool {
-        let mut changed = false;
-        if other.reached && !self.reached {
-            self.reached = true;
-            changed = true;
-        }
-        if other.mag > self.mag {
-            self.mag = other.mag;
-            changed = true;
-        }
-        if other.err > self.err {
-            self.err = other.err;
-            changed = true;
-        }
-        changed
-    }
-    fn widen_from(&mut self, other: &Self) -> bool {
-        let mut changed = false;
-        if other.mag > self.mag {
-            self.mag = f64::INFINITY;
-            changed = true;
-        }
-        if other.err > self.err {
-            self.err = f64::INFINITY;
-            changed = true;
-        }
-        self.reached |= other.reached;
-        changed
     }
 }
 
@@ -120,18 +87,26 @@ impl PrecisionPass<'_> {
             .as_ref()
             .expect("shapes checked")[op_index]
     }
-}
 
-impl Pass<ProgramGraph> for PrecisionPass<'_> {
-    type Value = RangeErr;
+    /// One sweep in node-id order: every pred precedes its node, so each
+    /// node's `deps` are final when it is reached.
+    fn run(&self) -> Vec<RangeErr> {
+        let nodes = self.lowered.graph.nodes();
+        let mut values = Vec::with_capacity(nodes.len());
+        for node in nodes {
+            let deps: Vec<RangeErr> = node.preds.iter().map(|&p| values[p]).collect();
+            values.push(self.transfer(&node.kind, &deps));
+        }
+        values
+    }
 
-    fn transfer(&self, graph: &ProgramGraph, node: usize, deps: &[RangeErr]) -> RangeErr {
+    fn transfer(&self, kind: &NodeKind, deps: &[RangeErr]) -> RangeErr {
         if !deps.is_empty() && deps.iter().any(|d| !d.reached) {
-            return RangeErr::bottom();
+            return RangeErr::BOTTOM;
         }
         let h = self.lowered.h;
         let tab = &self.lowered.tableau;
-        match &graph.node(node).kind {
+        match kind {
             NodeKind::StateInput { .. } => match deps.first() {
                 // Layer 0 boundary: the caller's input bound, exact.
                 None => RangeErr::new(self.artifact.input_bound, 0.0),
@@ -201,7 +176,7 @@ impl Pass<ProgramGraph> for PrecisionPass<'_> {
                 RangeErr::new(end.mag + quant * gain, end.err + quant * gain)
             }
             // Placement nodes carry no numeric value.
-            NodeKind::MapLayer { .. } => RangeErr::bottom(),
+            NodeKind::MapLayer { .. } => RangeErr::BOTTOM,
         }
     }
 }
@@ -296,11 +271,11 @@ pub fn lint_precision(artifact: &PipelineArtifact) -> Diagnostics {
         return ds;
     }
 
-    let pass = PrecisionPass {
+    let values = PrecisionPass {
         artifact,
         lowered: &lowered,
-    };
-    let fx = run_to_fixpoint(&lowered.graph, &pass);
+    }
+    .run();
     let fp16 = artifact.solver.fp16_storage;
 
     // Emission walk: first offending site per (layer, op / combine kind),
@@ -309,7 +284,7 @@ pub fn lint_precision(artifact: &PipelineArtifact) -> Diagnostics {
     let mut combine_overflow = HashSet::new();
     let mut layer_once: HashSet<(u8, usize)> = HashSet::new();
     for (id, node) in lowered.graph.nodes().iter().enumerate() {
-        let v = fx.values[id];
+        let v = values[id];
         if !v.reached {
             continue;
         }
@@ -443,7 +418,7 @@ pub fn lint_precision(artifact: &PipelineArtifact) -> Diagnostics {
                 // W053: quantization alone, amplified over a multi-step
                 // recompute interval, must stay well under the tolerance.
                 if *ck_fp16 && *steps > 1 {
-                    let ck = fx.values[node.preds[0]];
+                    let ck = values[node.preds[0]];
                     let gain = (1.0 + lowered.h * lowered.tableau.abs_b_sum()).powi(*steps as i32);
                     let amp = ck.mag * F16_REL * gain;
                     if amp > 0.1 * tol && layer_once.insert((4, *layer)) {

@@ -2,11 +2,8 @@
 //!
 //! Codes: `E020`–`E022`, `W020`.
 //!
-//! Two static analyses over an embedded-NN [`Network`], both run as
-//! forward passes on the fixpoint engine ([`crate::engine`]) over the
-//! linear chain graph [`crate::ir::network_chain`] builds (this family
-//! predates the engine; the codes and messages are unchanged by the
-//! port):
+//! Two static analyses over an embedded-NN [`Network`], each one loop
+//! over its ops in order:
 //!
 //! 1. **NCHW shape inference** — threads a symbolic shape through the op
 //!    chain and reports the first op that rejects its input (`E020`), then
@@ -19,164 +16,9 @@
 //!    (`W020`), the failure mode the paper's FP16 datapath must avoid.
 
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use crate::engine::{run_to_fixpoint, DataflowGraph, Lattice, Pass};
-use crate::ir::{network_chain, op_output_bound, op_output_shape, NodeKind, ProgramGraph};
+use crate::ir::{infer_shapes, op_output_bound};
 use enode_tensor::f16::F16;
 use enode_tensor::network::Network;
-
-/// Abstract shape of one chain node.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum ShapeVal {
-    /// Not reached yet.
-    Bottom,
-    /// A concrete inferred shape.
-    Shape(Vec<usize>),
-    /// Inference failed at op `op_index`; absorbs everything downstream.
-    Reject { op_index: usize, reason: String },
-}
-
-impl Lattice for ShapeVal {
-    fn bottom() -> Self {
-        ShapeVal::Bottom
-    }
-    fn join_from(&mut self, other: &Self) -> bool {
-        match (&*self, other) {
-            (_, ShapeVal::Bottom) => false,
-            (ShapeVal::Bottom, _) => {
-                *self = other.clone();
-                true
-            }
-            // A rejection dominates any inferred shape.
-            (ShapeVal::Shape(_), ShapeVal::Reject { .. }) => {
-                *self = other.clone();
-                true
-            }
-            _ => false,
-        }
-    }
-}
-
-/// Forward shape-inference pass over a [`network_chain`] graph.
-struct ShapePass<'a> {
-    net: &'a Network,
-    input_shape: &'a [usize],
-}
-
-impl Pass<ProgramGraph> for ShapePass<'_> {
-    type Value = ShapeVal;
-    fn transfer(&self, graph: &ProgramGraph, node: usize, deps: &[ShapeVal]) -> ShapeVal {
-        match &graph.node(node).kind {
-            NodeKind::StateInput { .. } => ShapeVal::Shape(self.input_shape.to_vec()),
-            NodeKind::NetOp { op_index, .. } => match deps.first() {
-                Some(ShapeVal::Shape(s)) => match op_output_shape(&self.net.ops()[*op_index], s) {
-                    Ok(out) => ShapeVal::Shape(out),
-                    Err(reason) => ShapeVal::Reject {
-                        op_index: *op_index,
-                        reason,
-                    },
-                },
-                Some(r @ ShapeVal::Reject { .. }) => r.clone(),
-                _ => ShapeVal::Bottom,
-            },
-            _ => ShapeVal::Bottom,
-        }
-    }
-}
-
-/// Abstract magnitude of one chain node: the node's own worst-case bound
-/// plus the running maximum over the whole prefix.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct BoundVal {
-    reached: bool,
-    bound: f64,
-    worst: f64,
-}
-
-impl Lattice for BoundVal {
-    fn bottom() -> Self {
-        BoundVal {
-            reached: false,
-            bound: 0.0,
-            worst: 0.0,
-        }
-    }
-    fn join_from(&mut self, other: &Self) -> bool {
-        let mut changed = false;
-        if other.reached && !self.reached {
-            self.reached = true;
-            changed = true;
-        }
-        if other.bound > self.bound {
-            self.bound = other.bound;
-            changed = true;
-        }
-        if other.worst > self.worst {
-            self.worst = other.worst;
-            changed = true;
-        }
-        changed
-    }
-}
-
-/// Forward FP16 range pass; needs the per-op input shapes the shape pass
-/// inferred (GroupNorm's bound depends on the group size).
-struct BoundPass<'a> {
-    net: &'a Network,
-    op_in_shapes: &'a [Vec<usize>],
-    input_bound: f64,
-}
-
-impl Pass<ProgramGraph> for BoundPass<'_> {
-    type Value = BoundVal;
-    fn transfer(&self, graph: &ProgramGraph, node: usize, deps: &[BoundVal]) -> BoundVal {
-        match &graph.node(node).kind {
-            NodeKind::StateInput { .. } => BoundVal {
-                reached: true,
-                bound: self.input_bound,
-                worst: self.input_bound,
-            },
-            NodeKind::NetOp { op_index, .. } => match deps.first() {
-                Some(d) if d.reached => {
-                    let bound = op_output_bound(
-                        &self.net.ops()[*op_index],
-                        &self.op_in_shapes[*op_index],
-                        d.bound,
-                    );
-                    BoundVal {
-                        reached: true,
-                        bound,
-                        worst: d.worst.max(bound),
-                    }
-                }
-                _ => BoundVal::bottom(),
-            },
-            _ => BoundVal::bottom(),
-        }
-    }
-}
-
-/// Runs the shape pass and returns every op's *input* shape, or the first
-/// op index + reason that rejected.
-fn infer_chain(net: &Network, input_shape: &[usize]) -> Result<Vec<Vec<usize>>, (usize, String)> {
-    let graph = network_chain(net.ops().len());
-    let fx = run_to_fixpoint(&graph, &ShapePass { net, input_shape });
-    // Node i+1 is op i; its input shape is node i's value.
-    let mut in_shapes = Vec::with_capacity(net.ops().len());
-    for id in 0..graph.num_nodes() {
-        match &fx.values[id] {
-            ShapeVal::Shape(s) => {
-                if id < net.ops().len() {
-                    in_shapes.push(s.clone());
-                }
-            }
-            ShapeVal::Reject { op_index, reason } => {
-                return Err((*op_index, reason.clone()));
-            }
-            ShapeVal::Bottom => unreachable!("chain nodes are all reachable"),
-        }
-    }
-    Ok(in_shapes)
-}
 
 /// Infers the output shape of a network on `input_shape`, or the first
 /// op index + reason that rejects it.
@@ -184,31 +26,22 @@ pub fn infer_output_shape(
     net: &Network,
     input_shape: &[usize],
 ) -> Result<Vec<usize>, (usize, String)> {
-    let graph = network_chain(net.ops().len());
-    let fx = run_to_fixpoint(&graph, &ShapePass { net, input_shape });
-    match &fx.values[graph.num_nodes() - 1] {
-        ShapeVal::Shape(s) => Ok(s.clone()),
-        ShapeVal::Reject { op_index, reason } => Err((*op_index, reason.clone())),
-        ShapeVal::Bottom => unreachable!("chain nodes are all reachable"),
-    }
+    infer_shapes(net, input_shape).map(|mut shapes| shapes.pop().expect("input shape first"))
 }
 
 /// Worst-case absolute magnitude of the network output (and every
 /// intermediate's running maximum) for inputs bounded by `input_bound`.
 /// Returns `None` when shape inference fails.
 pub fn fp16_worst_case(net: &Network, input_shape: &[usize], input_bound: f64) -> Option<f64> {
-    let op_in_shapes = infer_chain(net, input_shape).ok()?;
-    let graph = network_chain(net.ops().len());
-    let fx = run_to_fixpoint(
-        &graph,
-        &BoundPass {
-            net,
-            op_in_shapes: &op_in_shapes,
-            input_bound,
-        },
-    );
-    let last = fx.values[graph.num_nodes() - 1];
-    last.reached.then_some(last.worst)
+    // GroupNorm's bound depends on the group size, hence the input shapes.
+    let shapes = infer_shapes(net, input_shape).ok()?;
+    let mut bound = input_bound;
+    let mut worst = input_bound;
+    for (op, shape) in net.ops().iter().zip(&shapes) {
+        bound = op_output_bound(op, shape, bound);
+        worst = worst.max(bound);
+    }
+    Some(worst)
 }
 
 /// Runs the shape and FP16-range lints on one network.

@@ -7,21 +7,21 @@
 //! every condvar with its guard lock and predicate discipline, every
 //! atomic's ordering role, and the acquire/notify/join/sweep step
 //! sequence of each code path. This module lowers those declarations
-//! into the crate's fixpoint engine and proves:
+//! into bitmask facts and proves:
 //!
 //! * **E100 lock-order acyclicity** — the union of every path's nested
-//!   acquisitions forms a graph over locks; a forward ancestors pass
-//!   ([`run_to_fixpoint`]) computes, per lock, the set of locks that can
-//!   be held when it is acquired. A lock reachable from itself means two
-//!   interleavings acquire the same pair in opposite orders: deadlock.
+//!   acquisitions forms a graph over locks. Unlike the pipeline IR this
+//!   graph can be cyclic (a cycle is the defect), so it gets a bitmask
+//!   transitive closure: per lock, the set of locks that can be held when
+//!   it is acquired. A lock in its own closure means two interleavings
+//!   acquire the same pair in opposite orders: deadlock.
 //! * **E101 lost wakeups** — every wait re-checks its predicate in a
 //!   loop, and every predicate-falsifying `Write(cv)` has a `Notify(cv)`
-//!   reachable after it (a backward reachable-notify pass over the
-//!   path's step chain); a waited condvar with no notifier anywhere and
-//!   no timeout fallback is unwakeable.
-//! * **E102 shutdown quiescence** — the backward obligation pass
-//!   collects joins and queue sweeps reachable from each shutdown path's
-//!   entry; every declared worker thread must be joined, every declared
+//!   after it (a suffix OR over the path's steps); a waited condvar with
+//!   no notifier anywhere and no timeout fallback is unwakeable.
+//! * **E102 shutdown quiescence** — the same suffix OR collects the
+//!   joins and queue sweeps from each shutdown path's entry on; every
+//!   declared worker thread must be joined, every declared
 //!   queue swept, and no join may run while holding a lock the joined
 //!   thread's own paths acquire.
 //! * **E103/W100 atomic protocol** — published-value atomics must write
@@ -38,7 +38,6 @@
 //! code.
 
 use crate::diag::{Code, Diagnostic, Diagnostics};
-use crate::engine::{run_to_fixpoint, DataflowGraph, Direction, Lattice, Pass};
 use enode_tensor::syncmodel::trace::TraceReport;
 use enode_tensor::syncmodel::{AtomicRole, Memord, PathRole, Step, SyncSkeleton};
 use std::collections::{BTreeMap, BTreeSet};
@@ -83,7 +82,7 @@ impl<'a> NameTable<'a> {
         }
         assert!(
             t.locks.len() <= 64 && t.condvars.len() <= 64,
-            "bitmask lattices assume at most 64 locks/condvars"
+            "bitmask facts assume at most 64 locks/condvars"
         );
         t
     }
@@ -97,163 +96,60 @@ impl<'a> NameTable<'a> {
     }
 }
 
-// ---- E100: lock-order acyclicity (forward ancestors pass) -------------
-
-/// The lock graph: node = lock, edge `u -> v` when some path acquires
-/// `v` while holding `u`.
-struct LockGraph {
-    preds: Vec<Vec<usize>>,
-}
-
-impl DataflowGraph for LockGraph {
-    fn num_nodes(&self) -> usize {
-        self.preds.len()
+/// E100's closure: `held[v]` is the set of locks (bitmask) that can
+/// transitively be held when lock `v` is acquired, over the edges
+/// `held -> acquired` (Warshall's algorithm, one row per lock).
+fn held_closure(n_locks: usize, edges: &BTreeSet<(usize, usize)>) -> Vec<u64> {
+    let mut held = vec![0u64; n_locks];
+    for &(u, v) in edges {
+        held[v] |= 1 << u;
     }
-    fn preds(&self, node: usize) -> &[usize] {
-        &self.preds[node]
-    }
-}
-
-/// Set of locks (bitmask) that can transitively be held when a lock is
-/// acquired.
-#[derive(Clone, Debug, PartialEq)]
-struct Ancestors {
-    mask: u64,
-}
-
-impl Lattice for Ancestors {
-    fn bottom() -> Self {
-        Ancestors { mask: 0 }
-    }
-    fn join_from(&mut self, other: &Self) -> bool {
-        let next = self.mask | other.mask;
-        let changed = next != self.mask;
-        self.mask = next;
-        changed
-    }
-}
-
-struct AncestorPass;
-
-impl Pass<LockGraph> for AncestorPass {
-    type Value = Ancestors;
-    fn transfer(&self, g: &LockGraph, node: usize, deps: &[Ancestors]) -> Ancestors {
-        let mut mask = 0u64;
-        for (i, &p) in g.preds(node).iter().enumerate() {
-            mask |= deps[i].mask | (1u64 << p);
+    for k in 0..n_locks {
+        for v in 0..n_locks {
+            if held[v] & (1 << k) != 0 {
+                held[v] |= held[k];
+            }
         }
-        Ancestors { mask }
     }
+    held
 }
 
-// ---- E101/E102: backward obligation pass over a path's step chain -----
-
-/// Per-node view of "what happens at or after this step": condvars
+/// Per step of one path: what happens at or after it — condvars
 /// notified, threads joined, queues swept (bitmask each).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Default)]
 struct Obligations {
     notified: u64,
     joined: u64,
     swept: u64,
 }
 
-impl Lattice for Obligations {
-    fn bottom() -> Self {
-        Obligations {
-            notified: 0,
-            joined: 0,
-            swept: 0,
-        }
-    }
-    fn join_from(&mut self, other: &Self) -> bool {
-        let n = self.notified | other.notified;
-        let j = self.joined | other.joined;
-        let s = self.swept | other.swept;
-        let changed = (n, j, s) != (self.notified, self.joined, self.swept);
-        self.notified = n;
-        self.joined = j;
-        self.swept = s;
-        changed
-    }
-}
-
-/// A path's steps as a straight-line chain graph (node i's predecessor
-/// is node i-1); the obligation pass runs backward over it.
-struct ChainGraph {
-    preds: Vec<Vec<usize>>,
-}
-
-impl ChainGraph {
-    fn with_len(n: usize) -> Self {
-        ChainGraph {
-            preds: (0..n)
-                .map(|i| if i == 0 { vec![] } else { vec![i - 1] })
-                .collect(),
-        }
-    }
-}
-
-impl DataflowGraph for ChainGraph {
-    fn num_nodes(&self) -> usize {
-        self.preds.len()
-    }
-    fn preds(&self, node: usize) -> &[usize] {
-        &self.preds[node]
-    }
-}
-
-struct ObligationPass<'a> {
-    steps: &'a [Step],
-    table: &'a NameTable<'a>,
-}
-
-impl ObligationPass<'_> {
-    fn gen(&self, node: usize) -> Obligations {
-        let mut o = Obligations::bottom();
-        match self.steps[node] {
+/// Suffix OR over one path's steps; `values[i]` reports what happens at
+/// or after step `i`.
+fn path_obligations(steps: &[Step], table: &NameTable) -> Vec<Obligations> {
+    let mut values = vec![Obligations::default(); steps.len()];
+    let mut after = Obligations::default();
+    for (i, step) in steps.iter().enumerate().rev() {
+        match *step {
             Step::Notify(cv) => {
-                if let Some(i) = self.table.cv_idx(cv) {
-                    o.notified |= 1 << i;
+                if let Some(c) = table.cv_idx(cv) {
+                    after.notified |= 1 << c;
                 }
             }
             Step::Join(th) => {
-                if let Some(i) = self.table.threads.iter().position(|t| *t == th) {
-                    o.joined |= 1 << i;
+                if let Some(t) = table.threads.iter().position(|t| *t == th) {
+                    after.joined |= 1 << t;
                 }
             }
             Step::SweepQueue(q) => {
-                if let Some(i) = self.table.queues.iter().position(|x| *x == q) {
-                    o.swept |= 1 << i;
+                if let Some(x) = table.queues.iter().position(|x| *x == q) {
+                    after.swept |= 1 << x;
                 }
             }
             _ => {}
         }
-        o
+        values[i] = after;
     }
-}
-
-impl Pass<ChainGraph> for ObligationPass<'_> {
-    type Value = Obligations;
-    fn direction(&self) -> Direction {
-        Direction::Backward
-    }
-    fn transfer(&self, _g: &ChainGraph, node: usize, deps: &[Obligations]) -> Obligations {
-        let mut out = self.gen(node);
-        for d in deps {
-            out.join_from(d);
-        }
-        out
-    }
-}
-
-/// Runs the backward obligation pass over one path; `values[i]` reports
-/// what happens at or after step `i`.
-fn path_obligations(steps: &[Step], table: &NameTable) -> Vec<Obligations> {
-    if steps.is_empty() {
-        return Vec::new();
-    }
-    let g = ChainGraph::with_len(steps.len());
-    run_to_fixpoint(&g, &ObligationPass { steps, table }).values
+    values
 }
 
 // ---- structural walk (E105) + held-set facts --------------------------
@@ -441,15 +337,10 @@ pub fn lint_skeletons(skeletons: &[SyncSkeleton]) -> Diagnostics {
         return ds;
     }
 
-    // --- E100: ancestors fixpoint over the lock graph ---
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); table.locks.len()];
-    for &(u, v) in &facts.edges {
-        preds[v].push(u);
-    }
-    let g = LockGraph { preds };
-    let fx = run_to_fixpoint(&g, &AncestorPass);
+    // --- E100: a lock in its own held-closure closes a cycle ---
+    let held = held_closure(table.locks.len(), &facts.edges);
     let cyclic: Vec<usize> = (0..table.locks.len())
-        .filter(|&v| fx.values[v].mask & (1u64 << v) != 0)
+        .filter(|&v| held[v] & (1u64 << v) != 0)
         .collect();
     if !cyclic.is_empty() {
         let names: Vec<&str> = cyclic.iter().map(|&v| table.locks[v]).collect();
@@ -504,8 +395,8 @@ pub fn lint_skeletons(skeletons: &[SyncSkeleton]) -> Diagnostics {
             }
         }
     }
-    // Predicate-falsifying writes must have a reachable notify downstream
-    // (the backward reachable-notify pass over each path's step chain).
+    // Predicate-falsifying writes must have a notify later on the same
+    // path (the suffix OR over each path's steps).
     for sk in skeletons {
         let subject = format!("sync {}", sk.name);
         for p in &sk.paths {
@@ -854,6 +745,49 @@ mod tests {
         });
         let ds = lint_skeletons(std::slice::from_ref(&sk));
         assert!(ds.has_code(Code::E100SyncLockOrderCycle), "{}", ds.render());
+    }
+
+    #[test]
+    fn three_lock_cycle_is_one_e100_over_all_three() {
+        // A→B, B→C, C→A: no two paths invert one pair, so only the
+        // transitive closure sees the cycle.
+        let nest = |id, outer, inner| PathDecl {
+            id,
+            role: PathRole::Normal,
+            runs_on: None,
+            steps: vec![
+                Step::Acquire(outer),
+                Step::Acquire(inner),
+                Step::Release(inner),
+                Step::Release(outer),
+            ],
+        };
+        let lock = |id| LockDecl {
+            id,
+            protects: "ring state",
+        };
+        let sk = SyncSkeleton {
+            name: "test.ring",
+            locks: vec![lock("ring.a"), lock("ring.b"), lock("ring.c")],
+            condvars: vec![],
+            atomics: vec![],
+            threads: vec![],
+            queues: vec![],
+            paths: vec![
+                nest("ring.ab", "ring.a", "ring.b"),
+                nest("ring.bc", "ring.b", "ring.c"),
+                nest("ring.ca", "ring.c", "ring.a"),
+            ],
+        };
+        let ds = lint_skeletons(&[sk]);
+        assert_eq!(codes(&ds), ["E100"], "{}", ds.render());
+        assert!(
+            ds.items()[0]
+                .message
+                .ends_with("a cycle through: ring.a, ring.b, ring.c"),
+            "{}",
+            ds.render()
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Golden-file test: pins the `enode-lint --json` line format (code,
 //! severity, artifact, message, notes) byte-for-byte against a checked-in
 //! corpus, so the JSON output is a stable machine interface and the E02x
-//! shape lints — re-hosted on the fixpoint engine — are provably
-//! message-compatible with their pre-engine wording.
+//! shape lints — now one loop over the network's ops — are provably
+//! message-compatible with the wording they have always reported.
 //!
 //! To regenerate after an *intentional* format change:
 //!
@@ -338,8 +338,8 @@ fn json_output_matches_golden_corpus() {
     );
 }
 
-/// The E02x wording predates the fixpoint engine; these exact strings are
-/// the compatibility contract for the port (golden drift in *other*
+/// The E02x wording predates every rewrite of the shape pass; these exact
+/// strings are its compatibility contract (golden drift in *other*
 /// families is re-blessable, these messages are not).
 #[test]
 fn e02x_messages_are_byte_stable() {
@@ -483,7 +483,7 @@ fn e09x_messages_are_byte_stable() {
 }
 
 /// Same contract for the concurrency family: the E100 cycle wording (with
-/// the cyclic lock set from the ancestors fixpoint) and the E101
+/// the cyclic lock set from the held-lock closure) and the E101
 /// lost-wakeup wording (with the offending path and condvar) are pinned
 /// byte-for-byte against the doctored pool skeletons above.
 #[test]
