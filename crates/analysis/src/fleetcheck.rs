@@ -562,7 +562,8 @@ mod tests {
         // as literals so any change to how they are computed must
         // reproduce them exactly. `wcrt[class][tier]`, classes strict /
         // standard / relaxed: standard tier 0 of edge_default is
-        // 2 backlog batches × 1397 + 2000 window + 1397 service.
+        // 2 backlog batches × 6481 (strict drain) + 2000 window + 1397
+        // service.
         let t = table();
         let wcrt = |p: &ServeConfig| {
             let mut ds = Diagnostics::new();
@@ -574,13 +575,13 @@ mod tests {
             wcrt(&ServeConfig::edge_default()),
             [
                 [21_443, 17_527, 15_411],
-                [6_191, 5_338, 4_911],
-                [2_933, 2_856, 2_739]
+                [16_359, 15_506, 15_079],
+                [15_273, 15_196, 15_079]
             ]
         );
         assert_eq!(
             wcrt(&ServeConfig::streaming_keyword()),
-            [[2_436, 1_737], [525, 365], [117, 93]]
+            [[2_436, 1_737], [1_799, 1_639], [1_663, 1_639]]
         );
 
         // Per-instance load in milli-req/s of the shipped fleet (two edge

@@ -15,8 +15,8 @@
 //! charges, computed in closed form by `response_times`:
 //!
 //! * `Admission` charges the full-queue drain — `ceil(queue / max_batch)`
-//!   batches served on tier 0 (the worst case) at the request's own
-//!   class, i.e. assuming the queue holds one class;
+//!   batches served on tier 0 at the strict class (the worst case: the
+//!   queue ahead of a request may hold any class's work);
 //! * `Window` charges the batcher's full hold window;
 //! * `Service(tier)` charges the simulated per-batch service time at the
 //!   policy's `max_batch`, scaled from the table's Standard-class row to
@@ -91,15 +91,16 @@ pub(crate) fn class_service_us(
 }
 
 /// Worst-case response times of one policy under resolved tier points,
-/// `wcrt[class][tier]` in µs: full-queue drain at the class's tier-0 cost,
-/// plus the full batch window, plus the class's service time at the tier.
+/// `wcrt[class][tier]` in µs: full-queue drain at the strict class's
+/// tier-0 cost, plus the full batch window, plus the class's service time
+/// at the tier.
 pub(crate) fn response_times(policy: &ServeConfig, points: &[TierPoint]) -> Vec<Vec<u64>> {
     let backlog_batches = policy.queue_capacity.div_ceil(policy.max_batch.max(1)) as u64;
+    let drain = backlog_batches * class_service_us(policy, 0, &points[0], ToleranceClass::Strict);
     CLASSES
         .iter()
         .map(|&class| {
             let service = |tier: usize| class_service_us(policy, tier, &points[tier], class);
-            let drain = backlog_batches * service(0);
             (0..points.len())
                 .map(|tier| drain + policy.batch_window_us + service(tier))
                 .collect()
