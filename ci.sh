@@ -43,7 +43,8 @@ cargo test -q -p enode-analysis --test mutations -- \
   single_replica_fleet_fires_exactly_e111_on_loss \
   sub_window_sla_fires_exactly_e112 \
   tampered_registry_fingerprint_fires_exactly_e113 \
-  zero_core_hw_fires_exactly_e114
+  zero_core_hw_fires_exactly_e114 \
+  zero_vnodes_fires_exactly_e114
 
 echo "==> serving runtime suite under a 4-lane pool (batcher determinism audit)"
 ENODE_THREADS=4 cargo test -q -p enode-serve

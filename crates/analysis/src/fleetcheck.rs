@@ -25,8 +25,9 @@
 //!   name, version, and ladder — a registry entry cannot silently drift
 //!   from the policy it claims to serve.
 //! * **Structure** (`E114`): the hardware configuration is valid, the
-//!   assignment names a live model per instance and every tenant's model
-//!   is served somewhere.
+//!   fleet has instances and hash-ring vnodes, the assignment names a
+//!   live model per instance and every tenant's model is served
+//!   somewhere.
 //!
 //! Like `E093` in [`crate::schedcheck`], the structural and provenance
 //! checks short-circuit: verdicts derived from a malformed fleet or a
@@ -103,6 +104,13 @@ pub fn lint_fleet(config: &FleetConfig, table: &ParsedCostTable) -> Diagnostics 
             Code::E114FleetConfigMalformed,
             &subject,
             "fleet declares zero instances: nothing can serve",
+        ));
+    }
+    if config.vnodes == 0 {
+        ds.push(Diagnostic::new(
+            Code::E114FleetConfigMalformed,
+            &subject,
+            "fleet declares zero vnodes: the hash ring has no points to route to",
         ));
     }
     if config.assignment.len() != config.instances {

@@ -588,12 +588,13 @@ pub fn explanation(code: Code) -> &'static str {
         }
         Code::E114FleetConfigMalformed => {
             "The fleet config fails structural invariants that every other fleet check \
-             assumes: it declares zero instances, its assignment does not name exactly one \
-             model per instance, an assigned model has no live published version in the \
-             registry, or a tenant is bound to a model no instance serves. The runtime \
-             constructor panics on the same conditions; this lint reports them statically \
-             and short-circuits the rest of the family, since residency, rebalance, and \
-             SLA verdicts are meaningless over a fleet that cannot be built. An invalid \
+             assumes: it declares zero instances or zero hash-ring vnodes, its assignment \
+             does not name exactly one model per instance, an assigned model has no live \
+             published version in the registry, or a tenant is bound to a model no \
+             instance serves. The runtime constructor panics on the same conditions; \
+             this lint reports them statically and short-circuits the rest of the family, \
+             since residency, rebalance, and SLA verdicts are meaningless over a fleet \
+             that cannot be built. An invalid \
              hardware configuration (one HwConfig::validate rejects, such as zero cores) \
              is reported here too: no weight placement can be computed over it."
         }

@@ -769,3 +769,15 @@ fn zero_core_hw_fires_exactly_e114() {
     assert_eq!(e11x_errors(&ds), ["E114"], "{}", ds.render());
     assert_eq!(ds.error_count(), 1, "{}", ds.render());
 }
+
+#[test]
+fn zero_vnodes_fires_exactly_e114() {
+    // Mutation: a hash ring with no vnodes. `FleetConfig::validate`
+    // panics on it, so the structural gate must report it as E114 too.
+    let mut cfg = FleetConfig::shipped();
+    cfg.vnodes = 0;
+    let table = schedcheck::shipped_table().expect("committed table parses");
+    let ds = fleetcheck::lint_fleet(&cfg, &table);
+    assert_eq!(e11x_errors(&ds), ["E114"], "{}", ds.render());
+    assert_eq!(ds.error_count(), 1, "{}", ds.render());
+}
