@@ -8,7 +8,7 @@ use enode_analysis::tableau::lint_tableau;
 use enode_ode::tableau::{all_tableaux, ButcherTableau};
 use enode_ode::verify::estimate_global_order;
 
-fn decay(_t: f64, y: &Vec<f64>) -> Vec<f64> {
+fn decay(_t: f64, y: &[f64]) -> Vec<f64> {
     vec![-y[0]]
 }
 
@@ -20,7 +20,7 @@ fn static_and_empirical_order_agree_on_shipped_methods() {
         let ds = lint_tableau(&tab);
         assert!(ds.is_empty(), "{}:\n{}", tab.name(), ds.render());
         // Empirical: step-halving reaches the claimed order.
-        let est = estimate_global_order(&tab, decay, vec![1.0], 1.0, &exact, 16);
+        let est = estimate_global_order(&tab, |t, y| decay(t, y), vec![1.0], 1.0, &exact, 16);
         assert!(
             est > tab.order() as f64 - 0.6,
             "{}: lints clean but measures order {est:.2} (claimed {})",
@@ -52,7 +52,7 @@ fn static_and_empirical_checks_agree_on_inflated_order() {
     );
 
     let exact = vec![(-1.0f64).exp()];
-    let est = estimate_global_order(&inflated, decay, vec![1.0], 1.0, &exact, 32);
+    let est = estimate_global_order(&inflated, |t, y| decay(t, y), vec![1.0], 1.0, &exact, 32);
     assert!(
         est < 2.5,
         "estimator credited order {est:.2} to a second-order method"
@@ -84,7 +84,7 @@ fn corrupted_weights_fail_both_statically_and_empirically() {
     );
 
     let exact = vec![(-1.0f64).exp()];
-    let est = estimate_global_order(&corrupted, decay, vec![1.0], 1.0, &exact, 16);
+    let est = estimate_global_order(&corrupted, |t, y| decay(t, y), vec![1.0], 1.0, &exact, 16);
     assert!(
         est < 1.5,
         "estimator credited order {est:.2} to an inconsistent method"

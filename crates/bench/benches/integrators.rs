@@ -17,7 +17,7 @@ use enode_tensor::init;
 use enode_tensor::network::{Network, Op};
 use std::hint::black_box;
 
-fn lv(_t: f64, y: &Vec<f64>) -> Vec<f64> {
+fn lv(_t: f64, y: &[f64]) -> Vec<f64> {
     vec![1.5 * y[0] - y[0] * y[1], y[0] * y[1] - 3.0 * y[1]]
 }
 
@@ -29,7 +29,14 @@ fn rk_steps(m: &Micro) {
     ] {
         let y0 = vec![1.0, 1.0];
         m.bench(&format!("rk_step_{}_lotka_volterra", tab.name()), || {
-            rk_step(&tab, &mut lv, 0.0, 0.05, black_box(&y0), None)
+            rk_step(
+                &tab,
+                &mut |t, y: &Vec<f64>| lv(t, y),
+                0.0,
+                0.05,
+                black_box(&y0),
+                None,
+            )
         });
     }
 }
@@ -39,7 +46,7 @@ fn adaptive_solves(m: &Micro) {
     m.bench("solve_classic_lv_tol1e-7", || {
         let mut ctl = ClassicController::new(tab.error_order());
         solve_adaptive(
-            lv,
+            |t, y| lv(t, y),
             0.0,
             5.0,
             vec![1.0, 1.0],
@@ -52,7 +59,7 @@ fn adaptive_solves(m: &Micro) {
     m.bench("solve_conventional_lv_tol1e-7", || {
         let mut ctl = ConventionalSearchController::new(0.1, 0.5);
         solve_adaptive(
-            lv,
+            |t, y| lv(t, y),
             0.0,
             5.0,
             vec![1.0, 1.0],

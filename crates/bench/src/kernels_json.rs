@@ -103,15 +103,15 @@ pub fn measure(quick: bool) -> Vec<KernelTiming> {
         }
     };
     let time_pair = |f: &mut dyn FnMut()| -> (f64, f64) {
-        let lo = parallel::with_threads(1, || m.time(|| f()));
-        let hi = parallel::with_threads(THREADS_HIGH, || m.time(|| f()));
+        let lo = parallel::with_threads(1, || m.time(&mut *f));
+        let hi = parallel::with_threads(THREADS_HIGH, || m.time(&mut *f));
         (lo, hi)
     };
     let mut out = Vec::new();
     let mut push_vs =
         |name: &'static str, f: &mut dyn FnMut(), referent: Option<&mut dyn FnMut()>| {
             let (secs_low, secs_high) = time_pair(f);
-            let secs_referent = referent.map(|rf| parallel::with_threads(1, || m.time(|| rf())));
+            let secs_referent = referent.map(|rf| parallel::with_threads(1, || m.time(rf)));
             out.push(KernelTiming {
                 name,
                 secs_low,

@@ -130,12 +130,11 @@ mod tests {
             )
             .unwrap();
             let exact = p.exact(3.0);
-            for i in 0..p.dim() {
+            assert_eq!(exact.len(), p.dim());
+            for (i, (got, want)) in sol.final_state().iter().zip(&exact).enumerate() {
                 assert!(
-                    (sol.final_state()[i] - exact[i]).abs() < 1e-5,
-                    "{p:?} component {i}: {} vs {}",
-                    sol.final_state()[i],
-                    exact[i]
+                    (got - want).abs() < 1e-5,
+                    "{p:?} component {i}: {got} vs {want}"
                 );
             }
         }

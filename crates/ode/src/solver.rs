@@ -394,18 +394,25 @@ mod tests {
         ClassicController, ConventionalSearchController, SlopeAdaptiveController,
     };
 
-    fn decay(_t: f64, y: &Vec<f64>) -> Vec<f64> {
+    fn decay(_t: f64, y: &[f64]) -> Vec<f64> {
         vec![-y[0]]
     }
 
     /// Harmonic oscillator: y'' = -y as a first-order system.
-    fn oscillator(_t: f64, y: &Vec<f64>) -> Vec<f64> {
+    fn oscillator(_t: f64, y: &[f64]) -> Vec<f64> {
         vec![y[1], -y[0]]
     }
 
     #[test]
     fn fixed_rk4_accuracy() {
-        let sol = solve_fixed(decay, 0.0, 2.0, vec![1.0], &ButcherTableau::rk4(), 100);
+        let sol = solve_fixed(
+            |t, y| decay(t, y),
+            0.0,
+            2.0,
+            vec![1.0],
+            &ButcherTableau::rk4(),
+            100,
+        );
         assert!((sol.final_state()[0] - (-2.0f64).exp()).abs() < 1e-9);
         assert_eq!(sol.n_eval(), 100);
     }
@@ -413,7 +420,14 @@ mod tests {
     #[test]
     fn fixed_euler_first_order_error() {
         let e = |n: usize| {
-            let sol = solve_fixed(decay, 0.0, 1.0, vec![1.0], &ButcherTableau::euler(), n);
+            let sol = solve_fixed(
+                |t, y| decay(t, y),
+                0.0,
+                1.0,
+                vec![1.0],
+                &ButcherTableau::euler(),
+                n,
+            );
             (sol.final_state()[0] - (-1.0f64).exp()).abs()
         };
         let e100 = e(100);
@@ -431,7 +445,7 @@ mod tests {
         for tol in [1e-4, 1e-6, 1e-8] {
             let mut ctl = ClassicController::new(tab.error_order());
             let sol = solve_adaptive(
-                decay,
+                |t, y| decay(t, y),
                 0.0,
                 3.0,
                 vec![1.0],
@@ -456,7 +470,7 @@ mod tests {
         let run = |tol: f64| {
             let mut ctl = ClassicController::new(tab.error_order());
             solve_adaptive(
-                oscillator,
+                |t, y| oscillator(t, y),
                 0.0,
                 10.0,
                 vec![1.0, 0.0],
@@ -475,7 +489,7 @@ mod tests {
         let tab = ButcherTableau::dopri5();
         let mut ctl = ClassicController::new(tab.error_order());
         let sol = solve_adaptive(
-            oscillator,
+            |t, y| oscillator(t, y),
             0.0,
             2.0 * std::f64::consts::PI,
             vec![1.0, 0.0],
@@ -498,13 +512,29 @@ mod tests {
         let tab = ButcherTableau::rk23_bogacki_shampine();
         let opts = AdaptiveOptions::new(1e-7);
         let mut conventional = ConventionalSearchController::new(0.01, 0.5);
-        let base = solve_adaptive(decay, 0.0, 20.0, vec![1.0], &tab, &mut conventional, &opts)
-            .unwrap()
-            .stats;
+        let base = solve_adaptive(
+            |t, y| decay(t, y),
+            0.0,
+            20.0,
+            vec![1.0],
+            &tab,
+            &mut conventional,
+            &opts,
+        )
+        .unwrap()
+        .stats;
         let mut slope = SlopeAdaptiveController::new(3, 3).with_default_dt(0.01);
-        let fast = solve_adaptive(decay, 0.0, 20.0, vec![1.0], &tab, &mut slope, &opts)
-            .unwrap()
-            .stats;
+        let fast = solve_adaptive(
+            |t, y| decay(t, y),
+            0.0,
+            20.0,
+            vec![1.0],
+            &tab,
+            &mut slope,
+            &opts,
+        )
+        .unwrap()
+        .stats;
         assert!(
             fast.total_trials() < base.total_trials(),
             "slope-adaptive {} vs conventional {}",
@@ -534,7 +564,14 @@ mod tests {
 
     #[test]
     fn sample_interpolates() {
-        let sol = solve_fixed(decay, 0.0, 1.0, vec![1.0], &ButcherTableau::rk4(), 10);
+        let sol = solve_fixed(
+            |t, y| decay(t, y),
+            0.0,
+            1.0,
+            vec![1.0],
+            &ButcherTableau::rk4(),
+            10,
+        );
         let mid = sol.sample(0.55);
         assert!((mid[0] - (-0.55f64).exp()).abs() < 1e-3);
         let start = sol.sample(0.0);
@@ -547,7 +584,7 @@ mod tests {
         // output should be far more accurate than linear interpolation at
         // mid-step sample times.
         let tab = ButcherTableau::rk23_bogacki_shampine();
-        let sol = solve_fixed(decay, 0.0, 2.0, vec![1.0], &tab, 10);
+        let sol = solve_fixed(|t, y| decay(t, y), 0.0, 2.0, vec![1.0], &tab, 10);
         // Skip the first interval (no stored derivative at y0 -> linear
         // fallback); compare mid-interval samples where interpolation
         // error, not the solver's global error, differentiates the two.
@@ -568,7 +605,14 @@ mod tests {
     #[test]
     fn hermite_falls_back_without_derivatives() {
         // RK4 is not FSAL: no stored derivatives, hermite == linear.
-        let sol = solve_fixed(decay, 0.0, 1.0, vec![1.0], &ButcherTableau::rk4(), 5);
+        let sol = solve_fixed(
+            |t, y| decay(t, y),
+            0.0,
+            1.0,
+            vec![1.0],
+            &ButcherTableau::rk4(),
+            5,
+        );
         for i in 0..10 {
             let t = i as f64 * 0.1;
             assert_eq!(sol.sample(t)[0], sol.sample_hermite(t)[0]);
@@ -580,7 +624,7 @@ mod tests {
         let tab = ButcherTableau::rk23_bogacki_shampine();
         let mut ctl = ClassicController::new(tab.error_order());
         let sol = solve_adaptive(
-            oscillator,
+            |t, y| oscillator(t, y),
             0.0,
             3.0,
             vec![1.0, 0.0],
@@ -601,7 +645,7 @@ mod tests {
         let tab = ButcherTableau::rk23_bogacki_shampine();
         let mut ctl = ClassicController::new(tab.error_order());
         let sol = solve_adaptive(
-            oscillator,
+            |t, y| oscillator(t, y),
             0.0,
             5.0,
             vec![1.0, 0.0],

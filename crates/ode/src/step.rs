@@ -215,14 +215,21 @@ mod tests {
     use crate::tableau::all_tableaux;
 
     /// dy/dt = -y, y(0) = 1: exact solution e^{-t}.
-    fn decay(_t: f64, y: &Vec<f64>) -> Vec<f64> {
+    fn decay(_t: f64, y: &[f64]) -> Vec<f64> {
         vec![-y[0]]
     }
 
     #[test]
     fn euler_step_exact_formula() {
         let tab = ButcherTableau::euler();
-        let out = rk_step(&tab, &mut decay, 0.0, 0.1, &vec![1.0], None);
+        let out = rk_step(
+            &tab,
+            &mut |t, y: &Vec<f64>| decay(t, y),
+            0.0,
+            0.1,
+            &vec![1.0],
+            None,
+        );
         assert!((out.y_next[0] - 0.9).abs() < 1e-15);
         assert_eq!(out.nfe, 1);
         assert!(out.error.is_none());
@@ -231,7 +238,14 @@ mod tests {
     #[test]
     fn rk4_one_step_accuracy() {
         let tab = ButcherTableau::rk4();
-        let out = rk_step(&tab, &mut decay, 0.0, 0.1, &vec![1.0], None);
+        let out = rk_step(
+            &tab,
+            &mut |t, y: &Vec<f64>| decay(t, y),
+            0.0,
+            0.1,
+            &vec![1.0],
+            None,
+        );
         let exact = (-0.1f64).exp();
         // RK4 local truncation error is O(h^5): ~1e-7 at h = 0.1.
         assert!((out.y_next[0] - exact).abs() < 2e-7);
@@ -243,7 +257,14 @@ mod tests {
         // (local truncation error is O(h^{p+1})).
         for tab in all_tableaux() {
             let err_at = |h: f64| {
-                let out = rk_step(&tab, &mut decay, 0.0, h, &vec![1.0], None);
+                let out = rk_step(
+                    &tab,
+                    &mut |t, y: &Vec<f64>| decay(t, y),
+                    0.0,
+                    h,
+                    &vec![1.0],
+                    None,
+                );
                 (out.y_next[0] - (-h).exp()).abs()
             };
             let e1 = err_at(0.2);
@@ -264,20 +285,48 @@ mod tests {
     #[test]
     fn fsal_reuse_saves_one_nfe() {
         let tab = ButcherTableau::rk23_bogacki_shampine();
-        let first = rk_step(&tab, &mut decay, 0.0, 0.1, &vec![1.0], None);
+        let first = rk_step(
+            &tab,
+            &mut |t, y: &Vec<f64>| decay(t, y),
+            0.0,
+            0.1,
+            &vec![1.0],
+            None,
+        );
         assert_eq!(first.nfe, 4);
         let k1 = first.stages.last().unwrap().clone();
-        let second = rk_step(&tab, &mut decay, 0.1, 0.1, &first.y_next, Some(k1));
+        let second = rk_step(
+            &tab,
+            &mut |t, y: &Vec<f64>| decay(t, y),
+            0.1,
+            0.1,
+            &first.y_next,
+            Some(k1),
+        );
         assert_eq!(second.nfe, 3);
         // Reused k1 must give the same result as computing from scratch.
-        let scratch = rk_step(&tab, &mut decay, 0.1, 0.1, &first.y_next, None);
+        let scratch = rk_step(
+            &tab,
+            &mut |t, y: &Vec<f64>| decay(t, y),
+            0.1,
+            0.1,
+            &first.y_next,
+            None,
+        );
         assert!((second.y_next[0] - scratch.y_next[0]).abs() < 1e-14);
     }
 
     #[test]
     fn error_estimate_tracks_true_error() {
         let tab = ButcherTableau::rk23_bogacki_shampine();
-        let out = rk_step(&tab, &mut decay, 0.0, 0.2, &vec![1.0], None);
+        let out = rk_step(
+            &tab,
+            &mut |t, y: &Vec<f64>| decay(t, y),
+            0.0,
+            0.2,
+            &vec![1.0],
+            None,
+        );
         let true_err = (out.y_next[0] - (-0.2f64).exp()).abs();
         let est = out.error_norm();
         // Same order of magnitude.
@@ -291,7 +340,14 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn nonpositive_stepsize_rejected() {
         let tab = ButcherTableau::euler();
-        let _ = rk_step(&tab, &mut decay, 0.0, 0.0, &vec![1.0], None);
+        let _ = rk_step(
+            &tab,
+            &mut |t, y: &Vec<f64>| decay(t, y),
+            0.0,
+            0.0,
+            &vec![1.0],
+            None,
+        );
     }
 
     #[test]

@@ -56,7 +56,7 @@ mod tests {
     use super::*;
     use crate::tableau::all_tableaux;
 
-    fn decay(_t: f64, y: &Vec<f64>) -> Vec<f64> {
+    fn decay(_t: f64, y: &[f64]) -> Vec<f64> {
         vec![-y[0]]
     }
 
@@ -64,7 +64,7 @@ mod tests {
     fn every_builtin_meets_its_order() {
         let exact = vec![(-1.0f64).exp()];
         for tab in all_tableaux() {
-            let est = estimate_global_order(&tab, decay, vec![1.0], 1.0, &exact, 16);
+            let est = estimate_global_order(&tab, |t, y| decay(t, y), vec![1.0], 1.0, &exact, 16);
             let p = tab.order() as f64;
             // High-order methods bottom out at roundoff on this easy
             // problem; only require they *reach* their order.
@@ -79,7 +79,8 @@ mod tests {
     #[test]
     fn error_estimates_track_truth_within_two_decades() {
         for tab in all_tableaux().into_iter().filter(|t| t.is_adaptive()) {
-            let (est, truth) = error_estimate_quality(&tab, decay, &vec![1.0], 0.0, 0.25);
+            let (est, truth) =
+                error_estimate_quality(&tab, |t, y| decay(t, y), &vec![1.0], 0.0, 0.25);
             assert!(est > 0.0);
             if truth > 1e-14 {
                 let ratio = est / truth;
@@ -96,8 +97,14 @@ mod tests {
     fn order_estimator_detects_mislabeled_method() {
         // Euler claims order 1; the estimator must NOT credit it with 2.
         let exact = vec![(-1.0f64).exp()];
-        let est =
-            estimate_global_order(&ButcherTableau::euler(), decay, vec![1.0], 1.0, &exact, 32);
+        let est = estimate_global_order(
+            &ButcherTableau::euler(),
+            |t, y| decay(t, y),
+            vec![1.0],
+            1.0,
+            &exact,
+            32,
+        );
         assert!(est < 1.5, "euler measured order {est:.2}");
     }
 }
