@@ -553,7 +553,7 @@ fn e10x_errors(ds: &enode_analysis::Diagnostics) -> Vec<&'static str> {
 fn flipped_lock_order_fires_exactly_e100() {
     // Mutation: a path that nests pool.submit *inside* pool.slot, the
     // reverse of broadcast's declared submit-then-slot order. Two threads
-    // running the two paths deadlock; the ancestors fixpoint must find
+    // running the two paths deadlock; the held-lock closure must find
     // the cycle, and nothing else may fire.
     let mut sk = pool_skeleton();
     sk.paths.push(PathDecl {
