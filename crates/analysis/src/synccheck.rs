@@ -81,8 +81,10 @@ impl<'a> NameTable<'a> {
             }
         }
         assert!(
-            t.locks.len() <= 64 && t.condvars.len() <= 64,
-            "bitmask facts assume at most 64 locks/condvars"
+            [&t.locks, &t.condvars, &t.threads, &t.queues]
+                .iter()
+                .all(|names| names.len() <= 64),
+            "bitmask facts assume at most 64 locks/condvars/threads/queues"
         );
         t
     }
